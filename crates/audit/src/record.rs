@@ -12,6 +12,7 @@
 //! and hostile query text cannot reach the exposition at all.
 
 pub use p3_store::frame::fnv1a_64;
+use std::borrow::Cow;
 
 /// First payload layout (PR: audit plane). Still decodable; `rule_cost`
 /// and `top_rules` default to empty on V1 records.
@@ -69,12 +70,13 @@ impl Outcome {
     }
 }
 
-/// One named stage timing, copied from the session profile or measured
-/// around the worker's evaluation calls.
+/// One named stage timing: a stage of the request's query run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageTiming {
     /// Stage name (`parse`, `transform`, `extract`, `probability`, ...).
-    pub name: String,
+    /// Borrowed when written (stage names are static), owned when decoded,
+    /// so the in-memory ring holds no per-stage allocation.
+    pub name: Cow<'static, str>,
     /// Wall time spent in the stage, microseconds.
     pub wall_us: u64,
 }
@@ -247,7 +249,10 @@ impl AuditRecord {
         for _ in 0..n {
             let name = r.string()?;
             let wall_us = r.u64()?;
-            stages.push(StageTiming { name, wall_us });
+            stages.push(StageTiming {
+                name: name.into(),
+                wall_us,
+            });
         }
         let (rule_cost, top_rules) = if tag >= TAG_V2 {
             let rule_cost = r.u64()?;

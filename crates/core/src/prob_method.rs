@@ -36,6 +36,22 @@ impl Default for ProbMethod {
 }
 
 impl ProbMethod {
+    /// Parses a backend name — `exact`, `bdd`, `mc`, `kl` or `pmc` — the
+    /// one spelling shared by the CLI and the wire protocol. The sampling
+    /// backends take `cfg`; `pmc` also takes `threads` (`0` = auto).
+    pub fn parse(name: &str, cfg: McConfig, threads: usize) -> Result<Self, String> {
+        match name {
+            "exact" => Ok(ProbMethod::Exact),
+            "bdd" => Ok(ProbMethod::Bdd),
+            "mc" => Ok(ProbMethod::MonteCarlo(cfg)),
+            "kl" => Ok(ProbMethod::KarpLuby(cfg)),
+            "pmc" => Ok(ProbMethod::ParallelMc(cfg, threads)),
+            other => Err(format!(
+                "unknown method '{other}' (expected exact|bdd|mc|kl|pmc)"
+            )),
+        }
+    }
+
     /// Computes `P[λ]` with this strategy.
     pub fn probability(self, dnf: &Dnf, vars: &VarTable) -> f64 {
         match self {

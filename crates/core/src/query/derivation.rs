@@ -31,6 +31,19 @@ pub enum DerivationAlgo {
     ReSuciu,
 }
 
+impl std::str::FromStr for DerivationAlgo {
+    type Err = String;
+
+    /// Parses the CLI/wire spelling: `greedy` or `resuciu`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "greedy" => Ok(DerivationAlgo::NaiveGreedy),
+            "resuciu" => Ok(DerivationAlgo::ReSuciu),
+            other => Err(format!("unknown algo '{other}' (expected greedy|resuciu)")),
+        }
+    }
+}
+
 /// The result of a Derivation Query.
 #[derive(Debug, Clone)]
 pub struct SufficientProvenance {

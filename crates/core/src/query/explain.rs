@@ -14,6 +14,7 @@
 //! interning, same probabilities downstream) and reads counters the
 //! engine maintains anyway.
 
+use crate::run::RunStage;
 use p3_datalog::diag::Diagnostic;
 use p3_datalog::explain::ExplainPlan;
 use p3_lint::cost::cost_recommendations;
@@ -21,10 +22,11 @@ use p3_prob::DnfShape;
 
 /// One query's cost story: engine plan + answer shape + recommendations.
 ///
-/// Built by `QuerySession::explain`. The cache-delta fields are measured
-/// around this explain call; on a warm session they show the memo hits
-/// that made the query cheap (the plan then describes the original —
-/// cached — evaluation, not new work).
+/// Built by the EXPLAIN run of `QuerySession::run` (and its projection
+/// `QuerySession::explain`). The cache-delta fields sum the run's stages;
+/// on a warm session they show the memo hits that made the query cheap
+/// (the plan then describes the original — cached — evaluation, not new
+/// work).
 #[derive(Clone, Debug)]
 pub struct QueryExplain {
     /// The explained ground atom.
@@ -56,6 +58,26 @@ pub struct QueryExplain {
 }
 
 impl QueryExplain {
+    /// Assembles the cost story of `query` from the answering evaluation's
+    /// `plan`, the answer's `shape` and the run's cache deltas so far.
+    pub(crate) fn new(query: &str, plan: ExplainPlan, shape: DnfShape, caches: &RunStage) -> Self {
+        let recommendations = Self::recommend(&plan);
+        QueryExplain {
+            query: query.to_string(),
+            plan,
+            shape,
+            session_hits: caches.session_hits,
+            session_misses: caches.session_misses,
+            store_intern_hits: caches.store_intern_hits,
+            store_intern_misses: caches.store_intern_misses,
+            store_op_hits: caches.store_op_hits,
+            store_op_misses: caches.store_op_misses,
+            extract_memo_hits: caches.extract_memo_hits,
+            extract_memo_misses: caches.extract_memo_misses,
+            recommendations,
+        }
+    }
+
     /// Derives the recommendation list from `plan` (used by the builder;
     /// exposed so alternative front-ends can re-derive after filtering).
     pub fn recommend(plan: &ExplainPlan) -> Vec<Diagnostic> {

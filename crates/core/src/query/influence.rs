@@ -35,6 +35,22 @@ impl Default for InfluenceMethod {
     }
 }
 
+impl InfluenceMethod {
+    /// Parses a backend name — `exact`, `mc` or `pmc` — the one spelling
+    /// shared by the CLI and the wire protocol. The sampling backends take
+    /// `cfg`; `pmc` also takes `threads` (`0` = auto).
+    pub fn parse(name: &str, cfg: McConfig, threads: usize) -> Result<Self, String> {
+        match name {
+            "exact" => Ok(InfluenceMethod::Exact),
+            "mc" => Ok(InfluenceMethod::Mc(cfg)),
+            "pmc" => Ok(InfluenceMethod::ParallelMc(cfg, threads)),
+            other => Err(format!(
+                "unknown influence method '{other}' (expected exact|mc|pmc)"
+            )),
+        }
+    }
+}
+
 /// Options for an Influence Query.
 #[derive(Clone, Debug, Default)]
 pub struct InfluenceOptions {

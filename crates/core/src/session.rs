@@ -35,6 +35,7 @@ use crate::query::influence::{
 use crate::query::modification::{
     modification_query_with, EvalMethod, ModificationEval, ModificationOptions, ModificationPlan,
 };
+use crate::run::{ForcedEvaluation, QueryRun, QuerySpec, RunAnswer, RunStage};
 use crate::system::{DemandCore, P3};
 use p3_datalog::ast::Const;
 use p3_datalog::engine::TupleId;
@@ -199,106 +200,23 @@ pub struct SessionStats {
     pub warm_restored: u64,
 }
 
-/// Which query class a [`QuerySession::profile`] run executes.
-#[derive(Clone, Debug)]
-pub enum ProfileTarget {
-    /// `P[query]` under a probability backend.
-    Probability(ProbMethod),
-    /// Explanation Query: probability plus derivation-tree rendering.
-    Explanation(ProbMethod),
-    /// Derivation Query: ε-sufficient provenance.
-    Derivation {
-        /// Error bound ε.
-        eps: f64,
-        /// Search algorithm.
-        algo: DerivationAlgo,
-        /// Probability backend.
-        method: ProbMethod,
-    },
-    /// Influence Query: ranked influential clauses.
-    Influence(InfluenceOptions),
-    /// Modification Query: reach `target` at minimal cost.
-    Modification {
-        /// Target probability.
-        target: f64,
-        /// Search options.
-        opts: ModificationOptions,
-    },
+/// Where a run's atom resolved: a tuple of the full model, or the
+/// query's demand core.
+enum Resolved {
+    Full(TupleId),
+    Demand(Symbol, Vec<Const>, Arc<DemandCore>),
 }
 
-impl ProfileTarget {
-    /// The query-class name (matches the service op classes).
-    pub fn class(&self) -> &'static str {
-        match self {
-            ProfileTarget::Probability(_) => "probability",
-            ProfileTarget::Explanation(_) => "explanation",
-            ProfileTarget::Derivation { .. } => "derivation",
-            ProfileTarget::Influence(_) => "influence",
-            ProfileTarget::Modification { .. } => "modification",
-        }
-    }
+/// The front half of a run (see `QuerySession::extract`).
+struct Extracted {
+    id: DnfId,
+    /// `None` when the warm layer answered without resolving the atom.
+    resolved: Option<Resolved>,
+    forced: Option<ForcedEvaluation>,
 }
 
-/// One pipeline stage of a profiled query: wall time plus cache hit/miss
-/// deltas taken around the stage.
-///
-/// Session deltas count only this session's memo tables; store and
-/// extraction-memo deltas read shared (store-wide / process-global)
-/// counters, so under concurrent load they can include other queries'
-/// traffic — attribution is exact when the session is driven serially.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProfileStage {
-    /// Stage name: `parse`, `transform` (demand-mode sessions only),
-    /// `extract`, then one per query class (plus `render` for
-    /// explanations).
-    pub name: &'static str,
-    /// Wall-clock time spent in the stage, microseconds.
-    pub wall_us: u64,
-    /// Session memo-table hits during the stage.
-    pub session_hits: u64,
-    /// Session memo-table misses during the stage.
-    pub session_misses: u64,
-    /// Hash-cons intern hits in the shared [`DnfStore`](p3_prob::store::DnfStore).
-    pub store_intern_hits: u64,
-    /// Hash-cons intern misses in the shared store.
-    pub store_intern_misses: u64,
-    /// Memoized or/and/restrict hits in the shared store.
-    pub store_op_hits: u64,
-    /// Memoized or/and/restrict misses in the shared store.
-    pub store_op_misses: u64,
-    /// Clean-tuple extraction-memo hits (process-global counter).
-    pub extract_memo_hits: u64,
-    /// Clean-tuple extraction-memo misses (process-global counter).
-    pub extract_memo_misses: u64,
-}
-
-/// A stage-by-stage breakdown of one query, from [`QuerySession::profile`].
-#[derive(Clone, Debug)]
-pub struct QueryProfile {
-    /// The profiled ground atom.
-    pub query: String,
-    /// The query class that ran (see [`ProfileTarget::class`]).
-    pub class: &'static str,
-    /// End-to-end wall time, microseconds.
-    pub total_us: u64,
-    /// The resulting probability, when the class produces one
-    /// (`None` for influence rankings).
-    pub probability: Option<f64>,
-    /// The stages, in execution order.
-    pub stages: Vec<ProfileStage>,
-}
-
-/// A point-in-time reading of every counter a [`ProfileStage`] reports.
-#[derive(Clone, Copy)]
-struct CounterSnapshot {
-    session_hits: u64,
-    session_misses: u64,
-    store_intern_hits: u64,
-    store_intern_misses: u64,
-    store_op_hits: u64,
-    store_op_misses: u64,
-    extract_memo_hits: u64,
-    extract_memo_misses: u64,
+fn micros(d: std::time::Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// A memoizing query handle over an immutable [`P3`]. See the module docs.
@@ -487,11 +405,6 @@ impl QuerySession {
         *self.caches.persist.write().unwrap() = None;
     }
 
-    /// The attached storage backend, if any.
-    pub fn store_backend(&self) -> Option<Arc<dyn StorageBackend>> {
-        self.caches.persist.read().unwrap().clone()
-    }
-
     /// The full persistable state — every interned formula in id order,
     /// then every warm query memo and memoized probability — as the record
     /// sequence a snapshot stores. Replaying the result into a fresh
@@ -548,34 +461,94 @@ impl QuerySession {
     /// canonical polynomial, so downstream `DnfId`-keyed caches are shared
     /// across modes.
     pub fn provenance_id_with(&self, query: &str, opts: ExtractOptions) -> Result<DnfId, P3Error> {
+        self.extract(query, opts, false, None).map(|e| e.id)
+    }
+
+    /// The front half of every run: resolve the atom (forcing its
+    /// evaluation if needed) and extract its polynomial, recording a stage
+    /// per step when `stages` is given. The warm layer answers first —
+    /// before any parsing or tuple resolution — unless `needs_evaluation`
+    /// (the class reads the answering evaluation itself).
+    fn extract(
+        &self,
+        query: &str,
+        opts: ExtractOptions,
+        needs_evaluation: bool,
+        mut stages: Option<&mut Vec<RunStage>>,
+    ) -> Result<Extracted, P3Error> {
         let depth = persist::depth_code(opts);
-        // The warm layer answers before any parsing or tuple resolution:
-        // entries restored from a store (or journaled earlier this run)
-        // are keyed by the query string itself.
-        {
-            let warm = self.caches.warm.read().unwrap();
-            if !warm.is_empty() {
-                if let Some(&(id, restored)) = warm.get(&(query.to_string(), depth)) {
-                    self.hit();
-                    if restored {
-                        p3_store::warm_boot_hits_metric().inc();
-                    }
-                    return Ok(id);
-                }
+        if !needs_evaluation && !self.caches.warm.read().unwrap().is_empty() {
+            let warm = self.stage(stages.as_deref_mut(), "warm", || {
+                self.warm_get(query, depth)
+            });
+            if let Some(id) = warm {
+                return Ok(Extracted {
+                    id,
+                    resolved: None,
+                    forced: None,
+                });
             }
         }
-        let id = match self.mode {
+        let (resolved, forced) = match self.mode {
             EvalMode::Demand => {
+                let (pred, args) = self.stage(stages.as_deref_mut(), "parse", || {
+                    worlds::parse_ground_query(self.p3.program(), query)
+                })?;
+                let (core, fresh) = self.stage(stages.as_deref_mut(), "transform", || {
+                    self.p3.force_demand(pred, &args)
+                })?;
+                let forced = fresh.then(|| ForcedEvaluation::of(&core.plan));
+                (Resolved::Demand(pred, args, core), forced)
+            }
+            _ => self.stage(stages.as_deref_mut(), "parse", || {
+                // The first naive query forces the whole model here.
                 let (pred, args) = worlds::parse_ground_query(self.p3.program(), query)?;
-                self.demand_dnf(query, pred, &args, opts)?
-            }
-            _ => {
-                let tuple = self.p3.tuple(query)?;
-                self.tuple_dnf(tuple, opts)
-            }
+                let (full, fresh) = self.p3.force_full();
+                let tuple = full
+                    .db
+                    .lookup(pred, &args)
+                    .ok_or_else(|| P3Error::NotDerivable(query.to_string()))?;
+                let forced = fresh.then(|| ForcedEvaluation::of(&full.plan));
+                Ok::<_, P3Error>((Resolved::Full(tuple), forced))
+            })?,
         };
-        // With persistence on, mirror the memo into the warm layer and the
-        // journal so the *next* process boots with it.
+        let id = self.stage(stages, "extract", || {
+            let id = match &resolved {
+                Resolved::Full(tuple) => self.tuple_dnf(*tuple, opts),
+                Resolved::Demand(pred, args, core) => {
+                    self.demand_dnf(query, *pred, args, core, opts)?
+                }
+            };
+            self.warm_put(query, depth, id);
+            Ok::<_, P3Error>(id)
+        })?;
+        Ok(Extracted {
+            id,
+            resolved: Some(resolved),
+            forced,
+        })
+    }
+
+    /// The warm layer's answer for `(query, depth)`: entries restored from
+    /// a store (or journaled earlier this run) are keyed by the query
+    /// string itself.
+    fn warm_get(&self, query: &str, depth: u64) -> Option<DnfId> {
+        let &(id, restored) = self
+            .caches
+            .warm
+            .read()
+            .unwrap()
+            .get(&(query.to_string(), depth))?;
+        self.hit();
+        if restored {
+            p3_store::warm_boot_hits_metric().inc();
+        }
+        Some(id)
+    }
+
+    /// With persistence on, mirrors a resolution into the warm layer and
+    /// the journal so the *next* process boots with it.
+    fn warm_put(&self, query: &str, depth: u64, id: DnfId) {
         if let Some(backend) = self.caches.persist.read().unwrap().as_ref() {
             let fresh = self
                 .caches
@@ -592,7 +565,6 @@ impl QuerySession {
                 });
             }
         }
-        Ok(id)
     }
 
     /// The interned polynomial of a tuple resolved against the **full**
@@ -615,13 +587,14 @@ impl QuerySession {
     }
 
     /// The interned polynomial of a ground query atom under demand
-    /// evaluation: forces (or reuses) the per-query demand core and
-    /// extracts from its projected provenance graph.
+    /// evaluation, extracted from its demand core's projected provenance
+    /// graph.
     fn demand_dnf(
         &self,
         query: &str,
         pred: Symbol,
         args: &[Const],
+        core: &DemandCore,
         opts: ExtractOptions,
     ) -> Result<DnfId, P3Error> {
         let key = (DnfKey::Demand(pred, args.to_vec().into_boxed_slice()), opts);
@@ -632,7 +605,6 @@ impl QuerySession {
         self.miss();
         let mut span = p3_obs::span::span("session.extract");
         span.add_field("mode", "demand");
-        let core = self.p3.demand_core(pred, args)?;
         let tuple = core
             .tuple
             .ok_or_else(|| P3Error::NotDerivable(query.to_string()))?;
@@ -838,6 +810,16 @@ impl QuerySession {
         opts: &ModificationOptions,
     ) -> Result<ModificationPlan, P3Error> {
         let id = self.provenance_id(query)?;
+        Ok(self.modification_of(id, target, opts))
+    }
+
+    /// Modification Query over an interned formula.
+    pub fn modification_of(
+        &self,
+        id: DnfId,
+        target: f64,
+        opts: &ModificationOptions,
+    ) -> ModificationPlan {
         let dnf = self.dnf(id);
         let base: *const VarTable = &*self.p3.vars;
         let method = match opts.eval {
@@ -861,7 +843,7 @@ impl QuerySession {
                 }
             }
         };
-        Ok(modification_query_with(
+        modification_query_with(
             &dnf,
             &self.p3.vars,
             target,
@@ -870,13 +852,138 @@ impl QuerySession {
                 prob: &prob,
                 influence: &influence,
             },
-        ))
+        )
     }
 
-    fn counters(&self) -> CounterSnapshot {
+    /// Runs one query through the one query pipeline — resolve the atom,
+    /// extract `λ`, run the class computation — and returns the run's
+    /// [`QueryRun`] record: per-stage wall time and cache deltas, DNF
+    /// shape, eval mode and reason, the class answer, and the cost of the
+    /// evaluation the run forced, if any.
+    ///
+    /// The run is a *real* run: results land in (and are served from) the
+    /// session caches exactly as through the per-class methods, so running
+    /// the same query twice shows the warm path on the second run. Every
+    /// class honours `opts` (hop limits included).
+    pub fn run(
+        &self,
+        query: &str,
+        spec: &QuerySpec,
+        opts: ExtractOptions,
+    ) -> Result<QueryRun, P3Error> {
+        let started = Instant::now();
+        let mut stages = Vec::new();
+        let Extracted {
+            id,
+            resolved,
+            forced,
+        } = self.extract(query, opts, spec.reads_evaluation(), Some(&mut stages))?;
+        let shape = self.dnf(id).shape();
+        let answer = match spec {
+            QuerySpec::Probability(method) => {
+                RunAnswer::Probability(self.stage(Some(&mut stages), "probability", || {
+                    self.probability_of(id, *method)
+                }))
+            }
+            QuerySpec::Explanation(method) => {
+                let probability = self.stage(Some(&mut stages), "probability", || {
+                    self.probability_of(id, *method)
+                });
+                let resolved = resolved.expect("evaluation-reading runs bypass the warm layer");
+                let (text, dot) =
+                    self.stage(Some(&mut stages), "render", || self.render(&resolved, opts));
+                RunAnswer::Explanation {
+                    probability,
+                    text,
+                    dot,
+                }
+            }
+            QuerySpec::Derivation { eps, algo, method } => {
+                RunAnswer::Derivation(self.stage(Some(&mut stages), "derivation", || {
+                    self.sufficient_provenance_of(id, *eps, *algo, *method)
+                }))
+            }
+            QuerySpec::Influence(influence_opts) => {
+                RunAnswer::Influence(self.stage(Some(&mut stages), "influence", || {
+                    self.influence_of(id, influence_opts)
+                }))
+            }
+            QuerySpec::Modification {
+                target,
+                opts: mod_opts,
+            } => RunAnswer::Modification(self.stage(Some(&mut stages), "modification", || {
+                self.modification_of(id, *target, mod_opts)
+            })),
+            QuerySpec::Explain => {
+                let caches = RunStage::total(&stages);
+                let resolved = resolved.expect("evaluation-reading runs bypass the warm layer");
+                RunAnswer::Explain(Box::new(self.stage(Some(&mut stages), "explain", || {
+                    let plan = match &resolved {
+                        Resolved::Full(_) => self.p3.full().plan.clone(),
+                        Resolved::Demand(_, _, core) => core.plan.clone(),
+                    };
+                    QueryExplain::new(query, plan, shape, &caches)
+                })))
+            }
+        };
+        Ok(QueryRun {
+            query: query.to_string(),
+            class: spec.class(),
+            mode: self.mode,
+            mode_reason: Arc::clone(&self.mode_reason),
+            total_us: micros(started.elapsed()),
+            stages,
+            dnf: id,
+            shape,
+            answer,
+            forced,
+        })
+    }
+
+    /// The derivation tree of a resolved atom as text and Graphviz dot,
+    /// rendered from whichever evaluation answered it.
+    fn render(&self, resolved: &Resolved, opts: ExtractOptions) -> (String, String) {
+        let program = self.p3.program();
+        let (graph, db, tuple) = match resolved {
+            Resolved::Full(tuple) => (self.p3.graph(), self.p3.database(), *tuple),
+            Resolved::Demand(_, _, core) => (
+                &core.graph,
+                &core.db,
+                core.tuple.expect("extraction succeeded"),
+            ),
+        };
+        let text = p3_provenance::explain::explain(graph, db, program, tuple, opts.max_depth);
+        let dot = p3_provenance::dot::to_dot(graph, db, program, tuple);
+        (text, dot)
+    }
+
+    /// Runs `f` as one named run stage when `stages` is given, recording
+    /// its wall time and the counter deltas around it; runs it bare
+    /// otherwise.
+    fn stage<R>(
+        &self,
+        stages: Option<&mut Vec<RunStage>>,
+        name: &'static str,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        let Some(stages) = stages else {
+            return f();
+        };
+        let before = self.counters();
+        let start = Instant::now();
+        let out = f();
+        let wall_us = micros(start.elapsed());
+        stages.push(RunStage::delta(name, wall_us, &before, &self.counters()));
+        out
+    }
+
+    /// A point-in-time reading of every counter a [`RunStage`] reports.
+    fn counters(&self) -> RunStage {
         let store = self.p3.store.stats();
         let (extract_memo_hits, extract_memo_misses) = p3_provenance::extract::memo_counters();
-        CounterSnapshot {
+        RunStage {
+            name: "",
+            wall_us: 0,
             session_hits: self.caches.hits.load(Ordering::Relaxed),
             session_misses: self.caches.misses.load(Ordering::Relaxed),
             store_intern_hits: store.intern_hits,
@@ -888,191 +995,23 @@ impl QuerySession {
         }
     }
 
-    /// Runs `f` as one named profile stage, recording wall time and the
-    /// counter deltas around it.
-    fn stage<R>(
-        &self,
-        name: &'static str,
-        stages: &mut Vec<ProfileStage>,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        let before = self.counters();
-        let start = Instant::now();
-        let out = f();
-        let wall_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let after = self.counters();
-        stages.push(ProfileStage {
-            name,
-            wall_us,
-            session_hits: after.session_hits.saturating_sub(before.session_hits),
-            session_misses: after.session_misses.saturating_sub(before.session_misses),
-            store_intern_hits: after
-                .store_intern_hits
-                .saturating_sub(before.store_intern_hits),
-            store_intern_misses: after
-                .store_intern_misses
-                .saturating_sub(before.store_intern_misses),
-            store_op_hits: after.store_op_hits.saturating_sub(before.store_op_hits),
-            store_op_misses: after.store_op_misses.saturating_sub(before.store_op_misses),
-            extract_memo_hits: after
-                .extract_memo_hits
-                .saturating_sub(before.extract_memo_hits),
-            extract_memo_misses: after
-                .extract_memo_misses
-                .saturating_sub(before.extract_memo_misses),
-        });
-        out
-    }
-
-    /// Runs one query class with a stage-by-stage breakdown: wall time and
-    /// cache hit/miss deltas per pipeline stage (parse, extraction, then
-    /// the class-specific computation), sourced from the session, store
-    /// and extraction-memo instrumentation already in place. The profiled
-    /// run is a *real* run — results land in (and are served from) the
-    /// session caches exactly as they would unprofiled, so profiling the
-    /// same query twice shows the warm path on the second run.
-    pub fn profile(
-        &self,
-        query: &str,
-        target: &ProfileTarget,
-        opts: ExtractOptions,
-    ) -> Result<QueryProfile, P3Error> {
-        let started = Instant::now();
-        let mut stages = Vec::new();
-        // Resolve the query and extract its polynomial, mode-dependently.
-        // `resolved` keeps whichever graph/database the render stage needs.
-        enum Resolved {
-            Full(TupleId),
-            Demand(Arc<DemandCore>),
-        }
-        let (id, resolved) = match self.mode {
-            EvalMode::Demand => {
-                let (pred, args) = self.stage("parse", &mut stages, || {
-                    worlds::parse_ground_query(self.p3.program(), query)
-                })?;
-                let core = self.stage("transform", &mut stages, || {
-                    self.p3.demand_core(pred, &args)
-                })?;
-                let id = self.stage("extract", &mut stages, || {
-                    self.demand_dnf(query, pred, &args, opts)
-                })?;
-                (id, Resolved::Demand(core))
-            }
-            _ => {
-                let tuple = self.stage("parse", &mut stages, || self.p3.tuple(query))?;
-                let id = self.stage("extract", &mut stages, || self.tuple_dnf(tuple, opts));
-                (id, Resolved::Full(tuple))
-            }
-        };
-        let probability = match target {
-            ProfileTarget::Probability(method) => {
-                Some(self.stage("probability", &mut stages, || {
-                    self.probability_of(id, *method)
-                }))
-            }
-            ProfileTarget::Explanation(method) => {
-                let p = self.stage("probability", &mut stages, || {
-                    self.probability_of(id, *method)
-                });
-                self.stage("render", &mut stages, || {
-                    let program = self.p3.program();
-                    let (graph, db, tuple) = match &resolved {
-                        Resolved::Full(tuple) => (self.p3.graph(), self.p3.database(), *tuple),
-                        Resolved::Demand(core) => (
-                            &core.graph,
-                            &core.db,
-                            core.tuple.expect("extraction succeeded above"),
-                        ),
-                    };
-                    let text =
-                        p3_provenance::explain::explain(graph, db, program, tuple, opts.max_depth);
-                    let dot = p3_provenance::dot::to_dot(graph, db, program, tuple);
-                    (text, dot)
-                });
-                Some(p)
-            }
-            ProfileTarget::Derivation { eps, algo, method } => {
-                let s = self.stage("derivation", &mut stages, || {
-                    self.sufficient_provenance_of(id, *eps, *algo, *method)
-                });
-                Some(s.probability)
-            }
-            ProfileTarget::Influence(influence_opts) => {
-                self.stage("influence", &mut stages, || {
-                    self.influence_of(id, influence_opts)
-                });
-                None
-            }
-            ProfileTarget::Modification {
-                target: goal,
-                opts: mod_opts,
-            } => {
-                let plan = self.stage("modification", &mut stages, || {
-                    self.modification(query, *goal, mod_opts)
-                })?;
-                Some(plan.achieved_probability)
-            }
-        };
-        Ok(QueryProfile {
-            query: query.to_string(),
-            class: target.class(),
-            total_us: started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            probability,
-            stages,
-        })
-    }
-
-    /// Explains a query's evaluation cost: resolves the query exactly as
-    /// an unexplained run would (same caches, same evaluation cores) and
-    /// returns the per-rule [`ExplainPlan`](p3_datalog::explain::ExplainPlan)
-    /// of the evaluation that answers it, the answer's DNF shape, the
-    /// cache deltas around this call, and any measured P3603/P3604
-    /// recommendations the numbers justify.
+    /// Explains a query's evaluation cost — the EXPLAIN run of
+    /// [`QuerySession::run`] at unbounded depth: the per-rule
+    /// [`ExplainPlan`](p3_datalog::explain::ExplainPlan) of the evaluation
+    /// that answers it, the answer's DNF shape, the run's cache deltas, and
+    /// any measured P3603/P3604 recommendations the numbers justify.
     ///
     /// Observation-only: explaining a query changes no answer — the DnfId
     /// it extracts and any probabilities computed afterwards are
     /// bit-identical with and without the explain call.
     pub fn explain(&self, query: &str) -> Result<QueryExplain, P3Error> {
-        let opts = ExtractOptions::unbounded();
-        let before = self.counters();
-        let (id, plan) = match self.mode {
-            EvalMode::Demand => {
-                let (pred, args) = worlds::parse_ground_query(self.p3.program(), query)?;
-                let core = self.p3.demand_core(pred, &args)?;
-                let id = self.demand_dnf(query, pred, &args, opts)?;
-                (id, core.plan.clone())
-            }
-            _ => {
-                let tuple = self.p3.tuple(query)?;
-                let id = self.tuple_dnf(tuple, opts);
-                (id, self.p3.full().plan.clone())
-            }
-        };
-        let after = self.counters();
-        let shape = self.dnf(id).shape();
-        let recommendations = QueryExplain::recommend(&plan);
-        Ok(QueryExplain {
-            query: query.to_string(),
-            plan,
-            shape,
-            session_hits: after.session_hits.saturating_sub(before.session_hits),
-            session_misses: after.session_misses.saturating_sub(before.session_misses),
-            store_intern_hits: after
-                .store_intern_hits
-                .saturating_sub(before.store_intern_hits),
-            store_intern_misses: after
-                .store_intern_misses
-                .saturating_sub(before.store_intern_misses),
-            store_op_hits: after.store_op_hits.saturating_sub(before.store_op_hits),
-            store_op_misses: after.store_op_misses.saturating_sub(before.store_op_misses),
-            extract_memo_hits: after
-                .extract_memo_hits
-                .saturating_sub(before.extract_memo_hits),
-            extract_memo_misses: after
-                .extract_memo_misses
-                .saturating_sub(before.extract_memo_misses),
-            recommendations,
-        })
+        match self
+            .run(query, &QuerySpec::Explain, ExtractOptions::unbounded())?
+            .answer
+        {
+            RunAnswer::Explain(explained) => Ok(*explained),
+            _ => unreachable!("an EXPLAIN run answers with its plan"),
+        }
     }
 
     /// Statically analyzes this session's program: predicted per-rule
@@ -1400,69 +1339,85 @@ mod tests {
     }
 
     #[test]
-    fn profile_reports_stages_and_matches_unprofiled_result() {
+    fn run_reports_stages_and_matches_unrecorded_result() {
         let p3 = P3::from_source(ACQ).unwrap();
         // ACQ is recursive, so the default (auto) session runs in demand
-        // mode and the profile carries a `transform` stage.
+        // mode and the run carries a `transform` stage.
         let session = p3.session();
         assert_eq!(session.eval_mode(), EvalMode::Demand);
-        let profile = session
-            .profile(
+        let run = session
+            .run(
                 Q,
-                &ProfileTarget::Probability(ProbMethod::Exact),
+                &QuerySpec::Probability(ProbMethod::Exact),
                 ExtractOptions::unbounded(),
             )
             .unwrap();
-        assert_eq!(profile.class, "probability");
-        assert_eq!(profile.query, Q);
-        assert!((profile.probability.unwrap() - 0.16384).abs() < 1e-12);
-        let names: Vec<&str> = profile.stages.iter().map(|s| s.name).collect();
+        assert_eq!(run.class, "probability");
+        assert_eq!(run.query, Q);
+        assert!((run.probability().unwrap() - 0.16384).abs() < 1e-12);
+        let names: Vec<&str> = run.stages.iter().map(|s| s.name).collect();
         assert_eq!(names, ["parse", "transform", "extract", "probability"]);
-        // A naive session profiles without the transform stage.
+        // A naive session runs without the transform stage.
         let naive = p3.session_with(SessionOptions {
             eval_mode: EvalMode::Naive,
             ..Default::default()
         });
-        let naive_profile = naive
-            .profile(
+        let naive_run = naive
+            .run(
                 Q,
-                &ProfileTarget::Probability(ProbMethod::Exact),
+                &QuerySpec::Probability(ProbMethod::Exact),
                 ExtractOptions::unbounded(),
             )
             .unwrap();
-        let naive_names: Vec<&str> = naive_profile.stages.iter().map(|s| s.name).collect();
+        let naive_names: Vec<&str> = naive_run.stages.iter().map(|s| s.name).collect();
         assert_eq!(naive_names, ["parse", "extract", "probability"]);
-        assert_eq!(naive_profile.probability, profile.probability);
-        // The cold run misses in extract and probability; a second profiled
-        // run of the same query is served from the session caches.
-        let cold_misses: u64 = profile.stages.iter().map(|s| s.session_misses).sum();
-        assert!(cold_misses >= 2, "{profile:?}");
+        assert_eq!(naive_run.probability(), run.probability());
+        // The cold run misses in extract and probability; a second run of
+        // the same query is served from the session caches.
+        let cold_misses: u64 = run.stages.iter().map(|s| s.session_misses).sum();
+        assert!(cold_misses >= 2, "{run:?}");
         let warm = session
-            .profile(
+            .run(
                 Q,
-                &ProfileTarget::Probability(ProbMethod::Exact),
+                &QuerySpec::Probability(ProbMethod::Exact),
                 ExtractOptions::unbounded(),
             )
             .unwrap();
-        assert_eq!(warm.probability, profile.probability);
+        assert_eq!(warm.probability(), run.probability());
         let warm_misses: u64 = warm.stages.iter().map(|s| s.session_misses).sum();
         let warm_hits: u64 = warm.stages.iter().map(|s| s.session_hits).sum();
         assert_eq!(warm_misses, 0, "{warm:?}");
         assert!(warm_hits >= 2, "{warm:?}");
+        // The record carries the mode decision, the shape and the forced
+        // evaluation: the cold run forced the demand core, the warm one
+        // forced nothing.
+        assert_eq!(run.mode, EvalMode::Demand);
+        assert_eq!(&*run.mode_reason, session.eval_mode_reason());
+        assert_eq!(run.shape.monomials, 2);
+        let forced = run
+            .forced
+            .as_ref()
+            .expect("cold run forced its demand core");
+        assert!(
+            forced.rule_cost > 0 && forced.derived_tuples > 0,
+            "{forced:?}"
+        );
+        assert_eq!(forced.top_rules[0].0, "r3");
+        assert!(warm.forced.is_none());
     }
 
     #[test]
-    fn profile_covers_every_query_class() {
+    fn run_covers_every_query_class() {
         let p3 = P3::from_source(ACQ).unwrap();
         let session = p3.session();
-        let targets: Vec<(ProfileTarget, &str, &str)> = vec![
+        let targets: Vec<(QuerySpec, &str, &str)> = vec![
             (
-                ProfileTarget::Explanation(ProbMethod::Exact),
+                QuerySpec::Explanation(ProbMethod::Exact),
                 "explanation",
                 "render",
             ),
             (
-                ProfileTarget::Derivation {
+                QuerySpec::Derivation {
                     eps: 0.01,
                     algo: DerivationAlgo::NaiveGreedy,
                     method: ProbMethod::Exact,
@@ -1471,7 +1426,7 @@ mod tests {
                 "derivation",
             ),
             (
-                ProfileTarget::Influence(InfluenceOptions {
+                QuerySpec::Influence(InfluenceOptions {
                     method: InfluenceMethod::Exact,
                     ..Default::default()
                 }),
@@ -1479,7 +1434,7 @@ mod tests {
                 "influence",
             ),
             (
-                ProfileTarget::Modification {
+                QuerySpec::Modification {
                     target: 0.5,
                     opts: ModificationOptions {
                         tolerance: 1e-9,
@@ -1491,23 +1446,70 @@ mod tests {
             ),
         ];
         for (target, class, last_stage) in targets {
-            let profile = session
-                .profile(Q, &target, ExtractOptions::unbounded())
+            let run = session
+                .run(Q, &target, ExtractOptions::unbounded())
                 .unwrap();
-            assert_eq!(profile.class, class);
-            assert_eq!(profile.stages.last().unwrap().name, last_stage, "{class}");
-            assert!(profile.stages.len() >= 3, "{class}: {profile:?}");
+            assert_eq!(run.class, class);
+            assert_eq!(run.stages.last().unwrap().name, last_stage, "{class}");
+            assert!(run.stages.len() >= 3, "{class}: {run:?}");
             // Influence has no single probability; every other class does.
-            assert_eq!(profile.probability.is_none(), class == "influence");
+            assert_eq!(run.probability().is_none(), class == "influence");
         }
         // Bad queries surface the parse error, not a panic.
         assert!(session
-            .profile(
+            .run(
                 "bogus(",
-                &ProfileTarget::Probability(ProbMethod::Exact),
+                &QuerySpec::Probability(ProbMethod::Exact),
                 ExtractOptions::unbounded(),
             )
             .is_err());
+    }
+
+    #[test]
+    fn demand_explanation_renders_from_the_demand_core() {
+        let p3 = P3::from_source(ACQ).unwrap();
+        let session = p3.session();
+        assert_eq!(session.eval_mode(), EvalMode::Demand);
+        for depth in [None, Some(1), Some(2)] {
+            let opts = depth.map_or(ExtractOptions::unbounded(), ExtractOptions::with_max_depth);
+            let run = session
+                .run(Q, &QuerySpec::Explanation(ProbMethod::Exact), opts)
+                .unwrap();
+            assert!(!p3.fully_evaluated(), "demand explanations stay demand");
+            let RunAnswer::Explanation {
+                probability, text, ..
+            } = &run.answer
+            else {
+                panic!("{run:?}")
+            };
+            let oracle = P3::from_source(ACQ).unwrap();
+            let expected = oracle.explain_with(Q, ProbMethod::Exact, opts).unwrap();
+            assert_eq!(probability.to_bits(), expected.probability.to_bits());
+            assert_eq!(*session.dnf(run.dnf), expected.polynomial);
+            assert_eq!(*text, expected.text, "depth {depth:?}");
+        }
+    }
+
+    #[test]
+    fn every_class_honours_the_hop_limit() {
+        let p3 = P3::from_source(ACQ).unwrap();
+        let session = p3.session();
+        // know(Ben,Elena) needs depth 2: at depth 1 its polynomial is empty.
+        let cut = ExtractOptions::with_max_depth(1);
+        let explained = session.run(Q, &QuerySpec::Explain, cut).unwrap();
+        assert_eq!(explained.shape.monomials, 0);
+        let modified = session
+            .run(
+                Q,
+                &QuerySpec::Modification {
+                    target: 0.5,
+                    opts: ModificationOptions::default(),
+                },
+                cut,
+            )
+            .unwrap();
+        assert_eq!(modified.probability(), Some(0.0));
+        assert_eq!(modified.dnf, session.provenance_id_with(Q, cut).unwrap());
     }
 
     #[test]

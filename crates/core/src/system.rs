@@ -35,7 +35,7 @@ use p3_prob::store::DnfStore;
 use p3_prob::{Dnf, VarTable};
 use p3_provenance::extract::{Analysis, ExtractOptions, Extractor};
 use p3_provenance::graph::ProvGraph;
-use p3_provenance::{capture, clause_vars, dot, explain, DemandStats};
+use p3_provenance::{capture, clause_vars, dot, explain};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -57,8 +57,6 @@ pub(crate) struct DemandCore {
     pub(crate) analysis: Analysis,
     /// The queried tuple, when derivable.
     pub(crate) tuple: Option<TupleId>,
-    /// Transform + engine counters for this evaluation.
-    pub(crate) stats: DemandStats,
     /// Per-rule cost attribution, projected onto source clauses.
     pub(crate) plan: ExplainPlan,
 }
@@ -114,7 +112,15 @@ impl P3 {
 
     /// Forces (or retrieves) the naive whole-program evaluation.
     pub(crate) fn full(&self) -> &FullCore {
-        self.full.get_or_init(|| {
+        self.force_full().0
+    }
+
+    /// Like [`Self::full`], also telling whether this call ran the
+    /// evaluation.
+    pub(crate) fn force_full(&self) -> (&FullCore, bool) {
+        let mut forced = false;
+        let core = self.full.get_or_init(|| {
+            forced = true;
             let (db, graph, plan) = capture::evaluate_with_provenance_plan(&self.program);
             let analysis = Analysis::new(&graph);
             FullCore {
@@ -123,18 +129,30 @@ impl P3 {
                 analysis,
                 plan,
             }
-        })
+        });
+        (core, forced)
     }
 
     /// Forces (or retrieves) the demand evaluation for one ground query.
+    #[cfg(test)]
     pub(crate) fn demand_core(
         &self,
         pred: Symbol,
         args: &[Const],
     ) -> Result<Arc<DemandCore>, P3Error> {
+        self.force_demand(pred, args).map(|(core, _)| core)
+    }
+
+    /// Like [`Self::demand_core`], also telling whether this call ran the
+    /// evaluation.
+    pub(crate) fn force_demand(
+        &self,
+        pred: Symbol,
+        args: &[Const],
+    ) -> Result<(Arc<DemandCore>, bool), P3Error> {
         let key: DemandKey = (pred, args.to_vec().into_boxed_slice());
         if let Some(core) = self.demand.read().unwrap().get(&key) {
-            return Ok(Arc::clone(core));
+            return Ok((Arc::clone(core), false));
         }
         let eval = p3_provenance::evaluate_query_with_provenance(&self.program, pred, args)
             .map_err(|e| match e {
@@ -148,26 +166,19 @@ impl P3 {
             graph: eval.graph,
             analysis,
             tuple,
-            stats: eval.stats,
             plan: eval.plan,
         });
         // Two threads may race to evaluate the same query; the first insert
-        // wins and both observe one core.
-        Ok(Arc::clone(
-            self.demand.write().unwrap().entry(key).or_insert(core),
+        // wins and both observe one core (and both ran an evaluation).
+        Ok((
+            Arc::clone(self.demand.write().unwrap().entry(key).or_insert(core)),
+            true,
         ))
     }
 
     /// How many distinct queries have been demand-evaluated on this system.
     pub fn demand_evaluations(&self) -> usize {
         self.demand.read().unwrap().len()
-    }
-
-    /// Transform + engine counters for an already demand-evaluated query
-    /// (`None` when the query has not been demand-evaluated yet).
-    pub fn demand_stats(&self, pred: Symbol, args: &[Const]) -> Option<DemandStats> {
-        let key: DemandKey = (pred, args.to_vec().into_boxed_slice());
-        self.demand.read().unwrap().get(&key).map(|c| c.stats)
     }
 
     /// Whether the naive whole-program evaluation has been forced yet.

@@ -95,6 +95,7 @@ impl Value {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -145,6 +146,12 @@ impl From<usize> for Value {
 impl From<bool> for Value {
     fn from(b: bool) -> Self {
         Value::Bool(b)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
     }
 }
 
@@ -209,6 +216,15 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Builds a [`Value::Object`] from `"key" => value` pairs, converting each
+/// value with `Value::from` — the compact form of [`Value::object`].
+macro_rules! object {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        $crate::json::Value::object(vec![$(($key, $crate::json::Value::from($value))),*])
+    };
+}
+pub(crate) use object;
+
 /// A decode failure, with the byte offset where it happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -226,9 +242,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so the cap bounds its stack use on hostile input; no protocol
+/// message nests more than a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -273,8 +296,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -514,6 +548,37 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(Value::Number(-1.0).as_u64(), None);
         assert_eq!(Value::Number(1.5).as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Value::parse(&deep).unwrap_err();
+        assert!(err.message.contains("nesting deeper"), "{err}");
+        // A million open brackets is an error, not a stack overflow.
+        assert!(Value::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(Value::parse(&r#"{"a":"#.repeat(1_000_000)).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_input(text in "\\PC{0,300}") {
+            let _ = Value::parse(&text);
+        }
+
+        #[test]
+        fn parse_never_panics_on_json_shaped_input(
+            text in "[\\[\\]{}:,\"\\\\ntrufalse0-9.eE+u -]{0,400}",
+            depth in 0usize..400,
+        ) {
+            let _ = Value::parse(&text);
+            let _ = Value::parse(&format!("{}{text}", "[".repeat(depth)));
+            let _ = Value::parse(&format!("{}{text}", "{\"k\":".repeat(depth)));
+        }
     }
 
     #[test]

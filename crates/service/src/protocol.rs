@@ -348,28 +348,16 @@ fn mc_config(v: &Value) -> Result<(McConfig, usize), String> {
 
 fn prob_method(v: &Value) -> Result<ProbMethod, String> {
     let (cfg, threads) = mc_config(v)?;
-    match v.get("method").and_then(Value::as_str).unwrap_or("exact") {
-        "exact" => Ok(ProbMethod::Exact),
-        "bdd" => Ok(ProbMethod::Bdd),
-        "mc" => Ok(ProbMethod::MonteCarlo(cfg)),
-        "kl" => Ok(ProbMethod::KarpLuby(cfg)),
-        "pmc" => Ok(ProbMethod::ParallelMc(cfg, threads)),
-        other => Err(format!(
-            "unknown method '{other}' (expected exact|bdd|mc|kl|pmc)"
-        )),
-    }
+    ProbMethod::parse(method_name(v), cfg, threads)
 }
 
 fn influence_method(v: &Value) -> Result<InfluenceMethod, String> {
     let (cfg, threads) = mc_config(v)?;
-    match v.get("method").and_then(Value::as_str).unwrap_or("exact") {
-        "exact" => Ok(InfluenceMethod::Exact),
-        "mc" => Ok(InfluenceMethod::Mc(cfg)),
-        "pmc" => Ok(InfluenceMethod::ParallelMc(cfg, threads)),
-        other => Err(format!(
-            "unknown influence method '{other}' (expected exact|mc|pmc)"
-        )),
-    }
+    InfluenceMethod::parse(method_name(v), cfg, threads)
+}
+
+fn method_name(v: &Value) -> &str {
+    v.get("method").and_then(Value::as_str).unwrap_or("exact")
 }
 
 /// Parses one of the five query-class ops from the fields of `v`.
@@ -388,11 +376,11 @@ fn parse_query_op(name: &str, v: &Value) -> Result<Op, String> {
         "derivation" => Ok(Op::Derivation {
             query: str_field(v, "query")?,
             eps: f64_field(v, "eps")?,
-            algo: match v.get("algo").and_then(Value::as_str).unwrap_or("greedy") {
-                "greedy" => DerivationAlgo::NaiveGreedy,
-                "resuciu" => DerivationAlgo::ReSuciu,
-                other => return Err(format!("unknown algo '{other}'")),
-            },
+            algo: v
+                .get("algo")
+                .and_then(Value::as_str)
+                .unwrap_or("greedy")
+                .parse::<DerivationAlgo>()?,
             method: prob_method(v)?,
         }),
         "influence" => Ok(Op::Influence {

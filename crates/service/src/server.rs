@@ -22,19 +22,19 @@
 //!   request): new connections are refused, queued work drains, workers
 //!   and accept loops join, in that order.
 
-use crate::json::Value;
+use crate::json::{object, Value};
 use crate::protocol::{AuditKey, Op, Request, Response};
 use crate::stats::{Outcome, ServiceStats};
 use p3_audit::{AuditLog, AuditRecord, StageTiming};
 use p3_core::{
-    EvalMode, InfluenceOptions, ModificationOptions, ProfileTarget, QueryProfile, QuerySession,
-    SessionOptions, WarmRestore, P3,
+    EvalMode, InfluenceOptions, ModificationOptions, QueryRun, QuerySession, QuerySpec, RunAnswer,
+    RunStage, SessionOptions, WarmRestore, P3,
 };
 use p3_obs::slo::{SloConfig, SloEngine};
 use p3_provenance::extract::ExtractOptions;
 use p3_store::{FileBackend, RecoveryReport, StorageBackend};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
@@ -161,85 +161,30 @@ struct Job {
     reply: mpsc::SyncSender<Answer>,
 }
 
-/// A worker's reply: the op result plus the timing/cache facts the handler
-/// needs to make a slow request diagnosable from one log line and to
-/// build the request's audit record.
-struct Answer {
-    result: Result<Value, String>,
+/// What one request did on the server side: the worker's timings and, for
+/// query-shaped ops, the [`QueryRun`] record its reply came from. The
+/// audit row, the slow-request log line and the `execute` span are all
+/// built from it. Inline admin ops leave it at its default.
+#[derive(Default)]
+struct Execution {
     /// Time the job sat in the queue before a worker picked it up.
     queue_wait_us: u64,
     /// Time the worker spent executing the op.
     execute_us: u64,
-    /// Session memo-table hits while the op ran (shared session: under
-    /// concurrent load this includes other requests' traffic).
-    session_hits: u64,
-    /// Session memo-table misses while the op ran.
-    session_misses: u64,
-    /// Per-op facts collected inside `execute`.
-    facts: ExecFacts,
-    /// Tuples derived by rule evaluation while the op ran (global-counter
-    /// delta across both eval modes; approximate under concurrency).
-    derived_tuples: u64,
-    /// Persistent-store records journaled while the op ran.
+    /// The run record of a query-shaped op (the five classes, `profile`,
+    /// `explain`).
+    run: Option<QueryRun>,
+    /// Persistent-store records the post-op flush made durable.
     store_records: u64,
-    /// Extraction-memo hits while the op ran.
-    extract_memo_hits: u64,
-    /// Extraction-memo misses while the op ran.
-    extract_memo_misses: u64,
-    /// Rule-evaluation cost (candidates + firings + new tuples) attributed
-    /// to forced evaluations while the op ran (delta of the session
-    /// system's monotone tally; approximate under concurrency).
-    rule_cost: u64,
-    /// The costliest rules of the session's accumulated plans after the
-    /// op — populated only when the op forced evaluation (`rule_cost > 0`).
-    top_rules: Vec<(String, u64)>,
-}
-
-/// Facts `execute` collects as it runs an op: coarse per-stage wall
-/// timings, the DNF shape where a formula id is in hand, and whether a
-/// `load-program` failure was the lint gate (vs. a real error).
-#[derive(Default)]
-struct ExecFacts {
-    stages: Vec<StageTiming>,
-    dnf_monomials: u64,
-    dnf_literals: u64,
+    /// Whether a `load-program` failure was the lint gate (vs. a real
+    /// error).
     lint_reject: bool,
 }
 
-impl ExecFacts {
-    /// Records one stage's wall time around `f`.
-    fn timed<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.stages.push(StageTiming {
-            name: name.to_string(),
-            wall_us: start.elapsed().as_micros().min(u64::MAX as u128) as u64,
-        });
-        out
-    }
-
-    /// Notes the DNF width of the formula the op answered from.
-    fn note_dnf(&mut self, dnf: &p3_prob::Dnf) {
-        self.dnf_monomials = dnf.len() as u64;
-        self.dnf_literals = dnf.monomials().iter().map(|m| m.len() as u64).sum();
-    }
-}
-
-/// Reads the process-global derived-tuples tally: the mode-labeled
-/// engine counters summed, so a delta spans naive and demand evaluation.
-fn derived_tuples_total() -> u64 {
-    ["naive", "demand"]
-        .iter()
-        .map(|mode| {
-            let labels = p3_obs::metrics::render_labels(&[("mode", mode)]);
-            p3_obs::metrics::labeled_counter(
-                "p3_engine_derived_tuples_total",
-                "Tuples derived by rule evaluation, by evaluation mode",
-                &labels,
-            )
-            .get()
-        })
-        .sum()
+/// A worker's reply: the op result plus its [`Execution`].
+struct Answer {
+    result: Result<Value, String>,
+    execution: Execution,
 }
 
 /// Sets the queue-depth saturation gauge (also a `readyz` input).
@@ -791,27 +736,51 @@ fn accept_loop_unix(listener: UnixListener, shared: Arc<Shared>) {
     }
 }
 
-/// Serves one connection until EOF, write failure, or shutdown.
+/// The longest request line the server buffers, newline included. It sits
+/// well above any inline `load-program` source; a longer line gets a
+/// structured error and the connection is closed.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
+
+/// Serves one connection until EOF, write failure, an over-long line, or
+/// shutdown.
 fn handle_connection<R: BufRead, W: Write>(mut reader: R, mut writer: W, shared: Arc<Shared>) {
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) | Err(_) => return, // EOF or broken pipe
             Ok(_) => {}
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle_line(&line, &shared);
+        let too_long = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
+        let response = if too_long {
+            reject_line(
+                &shared,
+                Instant::now(),
+                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            )
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => handle_line(text, &shared),
+                Err(_) => reject_line(
+                    &shared,
+                    Instant::now(),
+                    "request line is not valid UTF-8".to_string(),
+                ),
+            }
+        };
         let mut payload = response.to_line();
         payload.push('\n');
         if writer.write_all(payload.as_bytes()).is_err() || writer.flush().is_err() {
             return;
         }
         // Once shutdown is initiated the response above is the last one this
-        // connection gets; closing nudges idle clients to go away.
-        if shared.shutting_down() {
+        // connection gets; closing nudges idle clients to go away. An
+        // over-long line leaves the stream mid-request, so it ends here too.
+        if too_long || shared.shutting_down() {
             return;
         }
     }
@@ -834,75 +803,76 @@ fn record_request_metrics(class: &str, latency: Duration) {
     .observe(latency.as_micros().min(u64::MAX as u128) as u64);
 }
 
-/// Worker-side facts about a finished request, filled in by `dispatch`
-/// for the slow-request log and the audit record (zero for inline admin
-/// ops, which have no queue wait or execution split).
-#[derive(Default)]
-struct RequestMeta {
-    queue_wait_us: u64,
-    execute_us: u64,
-    session_hits: u64,
-    session_misses: u64,
-    stages: Vec<StageTiming>,
-    derived_tuples: u64,
-    dnf_monomials: u64,
-    dnf_literals: u64,
-    store_records: u64,
-    extract_memo_hits: u64,
-    extract_memo_misses: u64,
-    lint_reject: bool,
-    rule_cost: u64,
-    top_rules: Vec<(String, u64)>,
-}
-
-/// Builds this request's audit record, feeds the SLO engine, and appends
-/// to the audit log when one is configured. Called exactly once per
-/// request line — queries, inline admin ops, and malformed lines alike —
-/// which is what makes "one request, one record" an invariant rather
-/// than a convention.
-#[allow(clippy::too_many_arguments)]
+/// Builds this request's audit record from its [`Execution`], feeds the
+/// SLO engine, and appends to the audit log when one is configured. Called
+/// exactly once per request line — queries, inline admin ops, and
+/// malformed lines alike — which is what makes "one request, one record"
+/// an invariant rather than a convention.
 fn audit_request(
     shared: &Shared,
-    class: &str,
-    trace: &str,
-    eval_mode: EvalMode,
-    query_hash: u64,
+    request: Option<&Request>,
     outcome: p3_audit::Outcome,
     elapsed: Duration,
-    meta: RequestMeta,
+    execution: &Execution,
 ) {
     let now_ms = unix_ms();
-    let ok = outcome == p3_audit::Outcome::Ok;
+    let class = request.map_or("malformed", |r| r.op.class());
     shared.slo.record(
         class,
         now_ms,
-        ok,
+        outcome == p3_audit::Outcome::Ok,
         elapsed.as_millis().min(u64::MAX as u128) as u64,
     );
     let Some(audit) = &shared.audit else {
         return;
     };
+    let run = execution.run.as_ref();
+    let totals = run.map(QueryRun::totals).unwrap_or_default();
+    let forced = run.and_then(|r| r.forced.as_ref());
+    let eval_mode = match run {
+        Some(run) => run.mode,
+        None => request
+            .and_then(|r| r.eval_mode)
+            .unwrap_or(shared.eval_mode),
+    };
     let record = AuditRecord {
         ts_ms: now_ms,
-        trace: trace.to_string(),
+        trace: request.and_then(|r| r.trace.clone()).unwrap_or_default(),
         class: class.to_string(),
         eval_mode: eval_mode.as_str().to_string(),
-        query_hash,
+        query_hash: request
+            .and_then(|r| r.op.query_text())
+            .map(p3_audit::fnv1a_64)
+            .unwrap_or(0),
         outcome,
-        queue_wait_us: meta.queue_wait_us,
-        execute_us: meta.execute_us,
+        queue_wait_us: execution.queue_wait_us,
+        execute_us: execution.execute_us,
         total_us: elapsed.as_micros().min(u64::MAX as u128) as u64,
-        stages: meta.stages,
-        derived_tuples: meta.derived_tuples,
-        dnf_monomials: meta.dnf_monomials,
-        dnf_literals: meta.dnf_literals,
-        session_hits: meta.session_hits,
-        session_misses: meta.session_misses,
-        store_records: meta.store_records,
-        extract_memo_hits: meta.extract_memo_hits,
-        extract_memo_misses: meta.extract_memo_misses,
-        rule_cost: meta.rule_cost,
-        top_rules: meta.top_rules,
+        stages: run.map_or_else(Vec::new, |r| {
+            r.stages
+                .iter()
+                .map(|s| StageTiming {
+                    name: s.name.into(),
+                    wall_us: s.wall_us,
+                })
+                .collect()
+        }),
+        derived_tuples: forced.map_or(0, |f| f.derived_tuples),
+        dnf_monomials: run.map_or(0, |r| r.shape.monomials as u64),
+        dnf_literals: run.map_or(0, |r| r.shape.literals as u64),
+        session_hits: totals.session_hits,
+        session_misses: totals.session_misses,
+        store_records: execution.store_records,
+        extract_memo_hits: totals.extract_memo_hits,
+        extract_memo_misses: totals.extract_memo_misses,
+        rule_cost: forced.map_or(0, |f| f.rule_cost),
+        top_rules: forced.map_or_else(Vec::new, |f| {
+            f.top_rules
+                .iter()
+                .take(p3_audit::MAX_TOP_RULES)
+                .cloned()
+                .collect()
+        }),
     };
     if let Err(e) = audit.append(record) {
         p3_obs::warn!(
@@ -913,31 +883,32 @@ fn audit_request(
     }
 }
 
+/// Answers a line that never became a request (malformed JSON, an
+/// over-long or non-UTF-8 line) with a structured error, accounted and
+/// audited as class `malformed`.
+fn reject_line(shared: &Shared, start: Instant, msg: String) -> Response {
+    let elapsed = start.elapsed();
+    shared.stats.record("malformed", elapsed, Outcome::Error);
+    record_request_metrics("malformed", elapsed);
+    audit_request(
+        shared,
+        None,
+        p3_audit::Outcome::Error,
+        elapsed,
+        &Execution::default(),
+    );
+    Response::error(None, msg)
+}
+
 /// Parses and dispatches one request line; always produces a response.
 fn handle_line(line: &str, shared: &Shared) -> Response {
     let start = Instant::now();
     let request = match Request::parse(line) {
         Ok(req) => req,
-        Err(msg) => {
-            let elapsed = start.elapsed();
-            shared.stats.record("malformed", elapsed, Outcome::Error);
-            record_request_metrics("malformed", elapsed);
-            audit_request(
-                shared,
-                "malformed",
-                "",
-                shared.eval_mode,
-                0,
-                p3_audit::Outcome::Error,
-                elapsed,
-                RequestMeta::default(),
-            );
-            return Response::error(None, msg);
-        }
+        Err(msg) => return reject_line(shared, start, msg),
     };
     let class = request.op.class();
-    let mut meta = RequestMeta::default();
-    let response = dispatch(&request, shared, start, &mut meta);
+    let (response, execution) = dispatch(&request, shared, start);
     let outcome = match response.status {
         crate::protocol::Status::Ok => Outcome::Ok,
         crate::protocol::Status::Error => Outcome::Error,
@@ -949,27 +920,10 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
     let audit_outcome = match response.status {
         crate::protocol::Status::Ok => p3_audit::Outcome::Ok,
         crate::protocol::Status::Timeout => p3_audit::Outcome::Timeout,
-        crate::protocol::Status::Error if meta.lint_reject => p3_audit::Outcome::LintReject,
+        crate::protocol::Status::Error if execution.lint_reject => p3_audit::Outcome::LintReject,
         crate::protocol::Status::Error => p3_audit::Outcome::Error,
     };
-    let query_hash = request.op.query_text().map(p3_audit::fnv1a_64).unwrap_or(0);
-    let slow_meta = (
-        meta.queue_wait_us,
-        meta.execute_us,
-        meta.session_hits,
-        meta.session_misses,
-    );
-    audit_request(
-        shared,
-        class,
-        request.trace.as_deref().unwrap_or(""),
-        request.eval_mode.unwrap_or(shared.eval_mode),
-        query_hash,
-        audit_outcome,
-        elapsed,
-        meta,
-    );
-    let (queue_wait_us, execute_us, session_hits, session_misses) = slow_meta;
+    audit_request(shared, Some(&request), audit_outcome, elapsed, &execution);
     p3_obs::debug!(
         "request served",
         class = class,
@@ -983,27 +937,42 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
                 "Requests that exceeded the --slow-ms threshold"
             )
             .inc();
+            let run = execution.run.as_ref();
+            let totals = run.map(QueryRun::totals).unwrap_or_default();
             p3_obs::warn!(
                 "slow request",
                 class = class,
                 latency_ms = elapsed.as_millis(),
                 threshold_ms = slow_ms,
-                queue_wait_us = queue_wait_us,
-                execute_us = execute_us,
-                session_hits = session_hits,
-                session_misses = session_misses,
+                queue_wait_us = execution.queue_wait_us,
+                execute_us = execution.execute_us,
+                session_hits = totals.session_hits,
+                session_misses = totals.session_misses,
+                stages = Stages(run.map_or(&[], |r| &r.stages)),
+                rule_cost = run
+                    .and_then(|r| r.forced.as_ref())
+                    .map_or(0, |f| f.rule_cost),
             );
         }
     }
     response
 }
 
-fn dispatch(
-    request: &Request,
-    shared: &Shared,
-    received: Instant,
-    meta: &mut RequestMeta,
-) -> Response {
+/// A run's stages as `name=wall_us` pairs, formatted only when a log line
+/// or span actually records them.
+struct Stages<'a>(&'a [RunStage]);
+
+impl std::fmt::Display for Stages<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, s) in self.0.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(f, "{sep}{}={}", s.name, s.wall_us)?;
+        }
+        Ok(())
+    }
+}
+
+fn dispatch(request: &Request, shared: &Shared, received: Instant) -> (Response, Execution) {
     // The root span covers the request's whole server-side life: parse is
     // already done, so this is queue wait + execution + reply marshalling.
     let mut span = p3_obs::span::span("request");
@@ -1016,34 +985,31 @@ fn dispatch(
     if let Some(trace) = &request.trace {
         span.add_field("trace", trace);
     }
+    let inline = |value: Value| (Response::ok(request.id, value), Execution::default());
     match &request.op {
         // Admin ops answer inline: they must work while the queue is full.
-        Op::Ping => Response::ok(request.id, Value::object(vec![("pong", Value::from(true))])),
-        Op::Stats => Response::ok(request.id, stats_snapshot(shared)),
-        Op::Metrics => Response::ok(request.id, metrics_snapshot(shared)),
-        Op::Trace { n } => Response::ok(request.id, trace_snapshot(*n)),
-        Op::Warm => Response::ok(request.id, warm_snapshot(shared)),
-        Op::StoreStats => Response::ok(request.id, store_stats_snapshot(shared)),
-        Op::AuditTail { n } => Response::ok(request.id, audit_tail_snapshot(shared, *n)),
-        Op::AuditTop { by, n } => Response::ok(request.id, audit_top_snapshot(shared, *by, *n)),
-        Op::Slo => Response::ok(request.id, slo_snapshot(shared)),
+        Op::Ping => inline(object! { "pong" => true }),
+        Op::Stats => inline(stats_snapshot(shared)),
+        Op::Metrics => inline(metrics_snapshot(shared)),
+        Op::Trace { n } => inline(trace_snapshot(*n)),
+        Op::Warm => inline(warm_snapshot(shared)),
+        Op::StoreStats => inline(store_stats_snapshot(shared)),
+        Op::AuditTail { n } => inline(audit_tail_snapshot(shared, *n)),
+        Op::AuditTop { by, n } => inline(audit_top_snapshot(shared, *by, *n)),
+        Op::Slo => inline(slo_snapshot(shared)),
         Op::Shutdown => {
             shared.initiate_shutdown();
-            Response::ok(
-                request.id,
-                Value::object(vec![("shutting_down", Value::from(true))]),
-            )
+            inline(object! { "shutting_down" => true })
         }
         op => {
             let timeout_ms = request.timeout_ms.or(shared.default_timeout_ms);
             let deadline = timeout_ms.map(|ms| received + Duration::from_millis(ms));
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Response::timeout(
-                        request.id,
-                        format!("deadline of {}ms expired", timeout_ms.unwrap_or(0)),
-                    );
-                }
+            let expired = |what: &str| {
+                let msg = format!("deadline of {}ms expired{what}", timeout_ms.unwrap_or(0));
+                (Response::timeout(request.id, msg), Execution::default())
+            };
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return expired("");
             }
             let (reply_tx, reply_rx) = mpsc::sync_channel(1);
             let job = Job {
@@ -1057,17 +1023,12 @@ fn dispatch(
             };
             match shared.queue.push(job) {
                 Err(PushError::Closed) => {
-                    return Response::error(request.id, "server is shutting down")
-                }
-                Err(PushError::DeadlineExpired) => {
-                    return Response::timeout(
-                        request.id,
-                        format!(
-                            "deadline of {}ms expired while queued",
-                            timeout_ms.unwrap_or(0)
-                        ),
+                    return (
+                        Response::error(request.id, "server is shutting down"),
+                        Execution::default(),
                     )
                 }
+                Err(PushError::DeadlineExpired) => return expired(" while queued"),
                 Ok(()) => {}
             }
             // The handler is the watchdog: wait only until the deadline.
@@ -1079,30 +1040,15 @@ fn dispatch(
                 }
             };
             match answer {
-                Ok(answer) => {
-                    meta.queue_wait_us = answer.queue_wait_us;
-                    meta.execute_us = answer.execute_us;
-                    meta.session_hits = answer.session_hits;
-                    meta.session_misses = answer.session_misses;
-                    meta.stages = answer.facts.stages;
-                    meta.dnf_monomials = answer.facts.dnf_monomials;
-                    meta.dnf_literals = answer.facts.dnf_literals;
-                    meta.lint_reject = answer.facts.lint_reject;
-                    meta.derived_tuples = answer.derived_tuples;
-                    meta.store_records = answer.store_records;
-                    meta.extract_memo_hits = answer.extract_memo_hits;
-                    meta.extract_memo_misses = answer.extract_memo_misses;
-                    meta.rule_cost = answer.rule_cost;
-                    meta.top_rules = answer.top_rules;
-                    match answer.result {
-                        Ok(result) => Response::ok(request.id, result),
-                        Err(msg) => Response::error(request.id, msg),
-                    }
-                }
-                Err(()) => Response::timeout(
-                    request.id,
-                    format!("deadline of {}ms expired", timeout_ms.unwrap_or(0)),
-                ),
+                Ok(Answer {
+                    result: Ok(value),
+                    execution,
+                }) => (Response::ok(request.id, value), execution),
+                Ok(Answer {
+                    result: Err(msg),
+                    execution,
+                }) => (Response::error(request.id, msg), execution),
+                Err(()) => expired(""),
             }
         }
     }
@@ -1118,35 +1064,32 @@ fn worker_loop(shared: Arc<Shared>) {
             }
         }
         set_workers_busy_gauge(shared.workers_busy.fetch_add(1, Ordering::SeqCst) + 1);
+        let executing = Instant::now();
+        let session = shared.session_for(job.eval_mode);
+        let mut execution = Execution {
+            queue_wait_us,
+            ..Execution::default()
+        };
         // Parent the worker-side span under the handler's request span:
         // the id travelled with the job across the thread hop. The span
         // must finish (and land in the ring) before the reply is sent, or
         // an immediate `trace` request could miss it.
-        let executing = Instant::now();
-        let session = shared.session_for(job.eval_mode);
-        let stats_before = session.stats();
-        // Process-global counter snapshots bracketing the execution: the
-        // deltas are this op's cost, give or take concurrent requests'
-        // traffic on the same counters (documented as approximate).
-        let tuples_before = derived_tuples_total();
-        let rule_cost_before = session.p3().rule_cost_total();
-        let (extract_hits_before, extract_misses_before) = p3_provenance::extract::memo_counters();
-        let store_records_before = shared
-            .active_store()
-            .map(|s| s.backend.stats().records_written)
-            .unwrap_or(0);
-        let mut facts = ExecFacts::default();
         let result = {
             let mut span = p3_obs::span::child_of("execute", job.root_span);
             span.add_field("class", job.op.class());
-            let result = execute(&session, &shared, &job.op, job.hop_limit, &mut facts);
+            let result = execute(&session, &shared, &job.op, job.hop_limit, &mut execution);
             span.add_field("ok", result.is_ok());
+            // One field from the record: every retained span costs ring
+            // memory, and the stage list carries the run's time story.
+            if let Some(run) = &execution.run {
+                span.add_field("stages", Stages(&run.stages));
+            }
             result
         };
-        let stats_after = session.stats();
         // Make whatever the op journaled durable before the client hears
         // the answer: a SIGKILL after the reply then replays this state.
         if let Some(store) = shared.active_store() {
+            execution.store_records = store.backend.stats().pending_records;
             if let Err(e) = store.backend.flush() {
                 p3_obs::error!(
                     "store flush failed",
@@ -1161,37 +1104,9 @@ fn worker_loop(shared: Arc<Shared>) {
                 .fetch_sub(1, Ordering::SeqCst)
                 .saturating_sub(1),
         );
-        let (extract_hits_after, extract_misses_after) = p3_provenance::extract::memo_counters();
-        let store_records_after = shared
-            .active_store()
-            .map(|s| s.backend.stats().records_written)
-            .unwrap_or(store_records_before);
-        // Rule-cost attribution: only ops that forced an evaluation moved
-        // the tally, so only those carry a top-rules exemplar.
-        let rule_cost = session
-            .p3()
-            .rule_cost_total()
-            .saturating_sub(rule_cost_before);
-        let top_rules = if rule_cost > 0 {
-            session.p3().top_rules(p3_audit::MAX_TOP_RULES)
-        } else {
-            Vec::new()
-        };
+        execution.execute_us = executing.elapsed().as_micros().min(u64::MAX as u128) as u64;
         // The handler may have timed out and gone; that's fine.
-        let _ = job.reply.send(Answer {
-            result,
-            queue_wait_us,
-            execute_us: executing.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            session_hits: stats_after.hits.saturating_sub(stats_before.hits),
-            session_misses: stats_after.misses.saturating_sub(stats_before.misses),
-            facts,
-            derived_tuples: derived_tuples_total().saturating_sub(tuples_before),
-            store_records: store_records_after.saturating_sub(store_records_before),
-            extract_memo_hits: extract_hits_after.saturating_sub(extract_hits_before),
-            extract_memo_misses: extract_misses_after.saturating_sub(extract_misses_before),
-            rule_cost,
-            top_rules,
-        });
+        let _ = job.reply.send(Answer { result, execution });
     }
 }
 
@@ -1202,29 +1117,83 @@ fn extract_opts(hop_limit: Option<usize>) -> ExtractOptions {
     }
 }
 
-/// Runs a query op against the shared session. Every result is a JSON
-/// object; errors are strings (surfaced as `"status":"error"`).
+/// The query and [`QuerySpec`] of a query-shaped op — the five query
+/// classes, `explain`, and `profile` (which runs its inner class) — or
+/// `None` for every other op.
+fn query_spec(op: &Op) -> Option<(&str, QuerySpec)> {
+    Some(match op {
+        Op::Probability { query, method } => (query, QuerySpec::Probability(*method)),
+        Op::Explanation { query, method } => (query, QuerySpec::Explanation(*method)),
+        Op::Derivation {
+            query,
+            eps,
+            algo,
+            method,
+        } => (
+            query,
+            QuerySpec::Derivation {
+                eps: *eps,
+                algo: *algo,
+                method: *method,
+            },
+        ),
+        Op::Influence {
+            query,
+            method,
+            top_k,
+            preprocess_epsilon,
+        } => (
+            query,
+            QuerySpec::Influence(InfluenceOptions {
+                method: *method,
+                top_k: *top_k,
+                preprocess_epsilon: *preprocess_epsilon,
+                restrict_to: None,
+            }),
+        ),
+        Op::Modification {
+            query,
+            target,
+            tolerance,
+        } => (
+            query,
+            QuerySpec::Modification {
+                target: *target,
+                opts: ModificationOptions {
+                    tolerance: *tolerance,
+                    ..Default::default()
+                },
+            },
+        ),
+        Op::Explain { query } => (query, QuerySpec::Explain),
+        Op::Profile { inner } => return query_spec(inner),
+        _ => return None,
+    })
+}
+
+/// Runs a worker op against the shared session. Query-shaped ops go
+/// through [`QuerySession::run`] and leave their record in `execution`.
+/// Every result is a JSON object; errors are strings (surfaced as
+/// `"status":"error"`).
 fn execute(
     session: &QuerySession,
     shared: &Shared,
     op: &Op,
     hop_limit: Option<usize>,
-    facts: &mut ExecFacts,
+    execution: &mut Execution,
 ) -> Result<Value, String> {
-    let p3 = session.p3();
+    if let Some((query, spec)) = query_spec(op) {
+        let mut run = session
+            .run(query, &spec, extract_opts(hop_limit))
+            .map_err(|e| e.to_string())?;
+        let value = match op {
+            Op::Profile { .. } => Ok(profile_reply(&run)),
+            _ => answer_value(&mut run, &spec, session.p3()),
+        };
+        execution.run = Some(run);
+        return value;
+    }
     match op {
-        Op::Ping
-        | Op::Stats
-        | Op::Metrics
-        | Op::Trace { .. }
-        | Op::Shutdown
-        | Op::Warm
-        | Op::StoreStats
-        | Op::AuditTail { .. }
-        | Op::AuditTop { .. }
-        | Op::Slo => {
-            unreachable!("admin ops answer inline")
-        }
         Op::Persist => {
             let store = shared.active_store().ok_or_else(|| {
                 "no active store: start the server with --store-dir \
@@ -1234,20 +1203,16 @@ fn execute(
             // Export from the default session — that is the one the store
             // journals; per-mode override sessions share its DnfStore.
             let records = shared.current_session().export_records();
-            facts
-                .timed("persist", || {
-                    store
-                        .backend
-                        .snapshot(&records)
-                        .and_then(|()| store.backend.flush())
-                })
+            store
+                .backend
+                .snapshot(&records)
+                .and_then(|()| store.backend.flush())
                 .map_err(|e| format!("store compaction failed: {e}"))?;
-            let stats = store.backend.stats();
-            Ok(Value::object(vec![
-                ("persisted", Value::from(true)),
-                ("records", Value::from(records.len())),
-                ("snapshot_bytes", Value::from(stats.snapshot_bytes)),
-            ]))
+            Ok(object! {
+                "persisted" => true,
+                "records" => records.len(),
+                "snapshot_bytes" => store.backend.stats().snapshot_bytes,
+            })
         }
         Op::LoadProgram { source, path, lint } => {
             let text = match (source, path) {
@@ -1260,7 +1225,7 @@ fn execute(
             // Pre-flight lint: findings go to the structured log either
             // way; error-severity findings reject the program unless the
             // request opted out with `"lint": false`.
-            let report = facts.timed("lint", || p3_lint::lint_source(&text));
+            let report = p3_lint::lint_source(&text);
             for d in &report.diagnostics {
                 p3_obs::info!(
                     "lint finding on load-program",
@@ -1272,16 +1237,14 @@ fn execute(
                 );
             }
             if *lint && report.has_errors() {
-                facts.lint_reject = true;
+                execution.lint_reject = true;
                 let mut msg = format!("program rejected by lint: {}", report.summary_line());
                 for d in report.at_least(p3_lint::Severity::Error) {
                     msg.push_str(&format!("; {d}"));
                 }
                 return Err(msg);
             }
-            let fresh = facts
-                .timed("load", || P3::from_source(&text))
-                .map_err(|e| e.to_string())?;
+            let fresh = P3::from_source(&text).map_err(|e| e.to_string())?;
             let clauses = fresh.program().len();
             let new_session = fresh.session_with(SessionOptions {
                 max_entries: shared.cache_cap,
@@ -1290,10 +1253,8 @@ fn execute(
             // Forcing the whole model here would defeat a demand-mode
             // server, so the materialised size is reported only when the
             // session evaluates naively (`null` otherwise).
-            let tuples = match new_session.eval_mode() {
-                EvalMode::Demand => Value::Null,
-                _ => Value::from(fresh.database().len()),
-            };
+            let tuples =
+                (new_session.eval_mode() != EvalMode::Demand).then(|| fresh.database().len());
             let eval_mode = new_session.eval_mode().as_str();
             // The store is keyed to the boot-time program's content hash;
             // a different program must not journal into it (or warm-boot
@@ -1308,15 +1269,15 @@ fn execute(
                 );
             }
             shared.install_session(new_session);
-            Ok(Value::object(vec![
-                ("loaded", Value::from(true)),
-                ("clauses", Value::from(clauses)),
-                ("tuples", tuples),
-                ("eval_mode", Value::from(eval_mode.to_string())),
-                ("lint_errors", Value::from(report.error_count())),
-                ("lint_warnings", Value::from(report.warn_count())),
-                ("lint_notes", Value::from(report.info_count())),
-            ]))
+            Ok(object! {
+                "loaded" => true,
+                "clauses" => clauses,
+                "tuples" => tuples,
+                "eval_mode" => eval_mode,
+                "lint_errors" => report.error_count(),
+                "lint_warnings" => report.warn_count(),
+                "lint_notes" => report.info_count(),
+            })
         }
         Op::Lint { source, path } => {
             let (text, name) = match (source, path) {
@@ -1327,300 +1288,113 @@ fn execute(
                 ),
                 (None, None) => unreachable!("validated at parse time"),
             };
-            let report = facts.timed("lint", || p3_lint::lint_source(&text));
+            let report = p3_lint::lint_source(&text);
             let findings = Value::parse(&report.to_json())
                 .map_err(|e| format!("internal: bad findings JSON: {e}"))?;
-            Ok(Value::object(vec![
-                ("clean", Value::from(report.is_clean())),
-                ("errors", Value::from(report.error_count())),
-                ("warnings", Value::from(report.warn_count())),
-                ("notes", Value::from(report.info_count())),
-                ("findings", findings),
-                (
-                    "content_type",
-                    Value::from("text/plain; lint=p3".to_string()),
-                ),
-                ("text", Value::from(report.render(Some(&text), Some(&name)))),
-            ]))
-        }
-        Op::Probability { query, method } => {
-            let id = facts
-                .timed("extract", || {
-                    session.provenance_id_with(query, extract_opts(hop_limit))
-                })
-                .map_err(|e| e.to_string())?;
-            let p = facts.timed("probability", || session.probability_of(id, *method));
-            facts.note_dnf(&session.dnf(id));
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
-                ("probability", Value::from(p)),
-                ("derivations", Value::from(session.dnf(id).len())),
-            ]))
-        }
-        Op::Explanation { query, method } => {
-            let explanation = facts
-                .timed("explanation", || {
-                    p3.explain_with(query, *method, extract_opts(hop_limit))
-                })
-                .map_err(|e| e.to_string())?;
-            facts.note_dnf(&explanation.polynomial);
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
-                ("probability", Value::from(explanation.probability)),
-                ("num_derivations", Value::from(explanation.num_derivations)),
-                (
-                    "polynomial",
-                    Value::from(p3.render_polynomial(&explanation.polynomial)),
-                ),
-                ("text", Value::from(explanation.text)),
-                ("dot", Value::from(explanation.dot)),
-            ]))
-        }
-        Op::Derivation {
-            query,
-            eps,
-            algo,
-            method,
-        } => {
-            let id = facts
-                .timed("extract", || {
-                    session.provenance_id_with(query, extract_opts(hop_limit))
-                })
-                .map_err(|e| e.to_string())?;
-            facts.note_dnf(&session.dnf(id));
-            let s = facts.timed("derivation", || {
-                session.sufficient_provenance_of(id, *eps, *algo, *method)
-            });
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
-                ("kept", Value::from(s.polynomial.len())),
-                ("original", Value::from(s.original_len)),
-                ("probability", Value::from(s.probability)),
-                ("original_probability", Value::from(s.original_probability)),
-                ("error", Value::from(s.error)),
-                ("compression_ratio", Value::from(s.compression_ratio)),
-                (
-                    "polynomial",
-                    Value::from(p3.render_polynomial(&s.polynomial)),
-                ),
-            ]))
-        }
-        Op::Influence {
-            query,
-            method,
-            top_k,
-            preprocess_epsilon,
-        } => {
-            let id = facts
-                .timed("extract", || {
-                    session.provenance_id_with(query, extract_opts(hop_limit))
-                })
-                .map_err(|e| e.to_string())?;
-            facts.note_dnf(&session.dnf(id));
-            let entries = facts.timed("influence", || {
-                session.influence_of(
-                    id,
-                    &InfluenceOptions {
-                        method: *method,
-                        top_k: *top_k,
-                        preprocess_epsilon: *preprocess_epsilon,
-                        restrict_to: None,
-                    },
-                )
-            });
-            let vars = p3.vars();
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
-                (
-                    "entries",
-                    Value::Array(
-                        entries
-                            .iter()
-                            .map(|e| {
-                                Value::object(vec![
-                                    ("var", Value::from(vars.name(e.var).to_string())),
-                                    ("influence", Value::from(e.influence)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]))
-        }
-        Op::Modification {
-            query,
-            target,
-            tolerance,
-        } => {
-            let plan = facts
-                .timed("modification", || {
-                    session.modification(
-                        query,
-                        *target,
-                        &ModificationOptions {
-                            tolerance: *tolerance,
-                            ..Default::default()
-                        },
-                    )
-                })
-                .map_err(|e| e.to_string())?;
-            let vars = p3.vars();
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
-                ("target", Value::from(*target)),
-                (
-                    "steps",
-                    Value::Array(
-                        plan.steps
-                            .iter()
-                            .map(|s| {
-                                Value::object(vec![
-                                    ("var", Value::from(vars.name(s.var).to_string())),
-                                    ("from", Value::from(s.from)),
-                                    ("to", Value::from(s.to)),
-                                    (
-                                        "resulting_probability",
-                                        Value::from(s.resulting_probability),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("total_cost", Value::from(plan.total_cost)),
-                ("initial_probability", Value::from(plan.initial_probability)),
-                (
-                    "achieved_probability",
-                    Value::from(plan.achieved_probability),
-                ),
-                ("reached_target", Value::from(plan.reached_target)),
-            ]))
-        }
-        Op::Profile { inner } => {
-            let (query, target) = match &**inner {
-                Op::Probability { query, method } => (query, ProfileTarget::Probability(*method)),
-                Op::Explanation { query, method } => (query, ProfileTarget::Explanation(*method)),
-                Op::Derivation {
-                    query,
-                    eps,
-                    algo,
-                    method,
-                } => (
-                    query,
-                    ProfileTarget::Derivation {
-                        eps: *eps,
-                        algo: *algo,
-                        method: *method,
-                    },
-                ),
-                Op::Influence {
-                    query,
-                    method,
-                    top_k,
-                    preprocess_epsilon,
-                } => (
-                    query,
-                    ProfileTarget::Influence(InfluenceOptions {
-                        method: *method,
-                        top_k: *top_k,
-                        preprocess_epsilon: *preprocess_epsilon,
-                        restrict_to: None,
-                    }),
-                ),
-                Op::Modification {
-                    query,
-                    target,
-                    tolerance,
-                } => (
-                    query,
-                    ProfileTarget::Modification {
-                        target: *target,
-                        opts: ModificationOptions {
-                            tolerance: *tolerance,
-                            ..Default::default()
-                        },
-                    },
-                ),
-                other => return Err(format!("cannot profile op class '{}'", other.class())),
-            };
-            let profile = session
-                .profile(query, &target, extract_opts(hop_limit))
-                .map_err(|e| e.to_string())?;
-            // The profiler already split the run into stages; adopt its
-            // breakdown verbatim for the audit record.
-            facts.stages = profile
-                .stages
-                .iter()
-                .map(|s| StageTiming {
-                    name: s.name.to_string(),
-                    wall_us: s.wall_us,
-                })
-                .collect();
-            Ok(profile_value(&profile))
-        }
-        Op::Explain { query } => {
-            let explained = facts
-                .timed("explain", || session.explain(query))
-                .map_err(|e| e.to_string())?;
-            facts.dnf_monomials = explained.shape.monomials as u64;
-            facts.dnf_literals = explained.shape.literals as u64;
-            // The explain type owns the canonical JSON shape (shared with
-            // `p3 explain --json`); parse it back rather than re-encoding.
-            Value::parse(&explained.to_json_string())
-                .map_err(|e| format!("explain payload encoding: {e}"))
+            Ok(object! {
+                "clean" => report.is_clean(),
+                "errors" => report.error_count(),
+                "warnings" => report.warn_count(),
+                "notes" => report.info_count(),
+                "findings" => findings,
+                "content_type" => "text/plain; lint=p3",
+                "text" => report.render(Some(&text), Some(&name)),
+            })
         }
         Op::Analyze { query } => {
-            let plan = facts.timed("analyze", || session.analyze(query.as_deref()));
+            let plan = session.analyze(query.as_deref());
             // The plan type owns the canonical JSON shape (shared with
             // `p3 analyze --json`); parse it back rather than re-encoding.
             Value::parse(&plan.to_json_string())
                 .map_err(|e| format!("analyze payload encoding: {e}"))
         }
+        other => unreachable!("op '{}' is answered elsewhere", other.class()),
     }
 }
 
-/// Renders a [`QueryProfile`] as the `profile` op's result payload.
-fn profile_value(profile: &QueryProfile) -> Value {
-    Value::object(vec![
-        ("query", Value::from(profile.query.clone())),
-        ("class", Value::from(profile.class.to_string())),
-        ("total_us", Value::from(profile.total_us)),
-        (
-            "probability",
-            profile.probability.map(Value::from).unwrap_or(Value::Null),
-        ),
-        (
-            "stages",
-            Value::Array(
-                profile
-                    .stages
-                    .iter()
-                    .map(|s| {
-                        let pair = |hits: u64, misses: u64| {
-                            Value::object(vec![
-                                ("hits", Value::from(hits)),
-                                ("misses", Value::from(misses)),
-                            ])
-                        };
-                        Value::object(vec![
-                            ("name", Value::from(s.name.to_string())),
-                            ("wall_us", Value::from(s.wall_us)),
-                            ("session", pair(s.session_hits, s.session_misses)),
-                            (
-                                "store_intern",
-                                pair(s.store_intern_hits, s.store_intern_misses),
-                            ),
-                            ("store_ops", pair(s.store_op_hits, s.store_op_misses)),
-                            (
-                                "extract_memo",
-                                pair(s.extract_memo_hits, s.extract_memo_misses),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// The reply of a query-class op (or `explain`): the run's class answer.
+/// An explanation's rendered text and dot move into the reply; the record
+/// keeps everything else.
+fn answer_value(run: &mut QueryRun, spec: &QuerySpec, p3: &P3) -> Result<Value, String> {
+    let query = run.query.clone();
+    let vars = p3.vars();
+    Ok(match &mut run.answer {
+        RunAnswer::Probability(p) => object! {
+            "query" => query, "probability" => *p, "derivations" => run.shape.monomials,
+        },
+        RunAnswer::Explanation {
+            probability,
+            text,
+            dot,
+        } => object! {
+            "query" => query,
+            "probability" => *probability,
+            "num_derivations" => run.shape.monomials,
+            "polynomial" => p3.render_polynomial(&p3.store().get(run.dnf)),
+            "text" => std::mem::take(text),
+            "dot" => std::mem::take(dot),
+        },
+        RunAnswer::Derivation(s) => object! {
+            "query" => query,
+            "kept" => s.polynomial.len(),
+            "original" => s.original_len,
+            "probability" => s.probability,
+            "original_probability" => s.original_probability,
+            "error" => s.error,
+            "compression_ratio" => s.compression_ratio,
+            "polynomial" => p3.render_polynomial(&s.polynomial),
+        },
+        RunAnswer::Influence(entries) => object! {
+            "query" => query,
+            "entries" => Value::Array(entries.iter().map(|e| object! {
+                "var" => vars.name(e.var), "influence" => e.influence,
+            }).collect()),
+        },
+        RunAnswer::Modification(plan) => object! {
+            "query" => query,
+            "target" => match spec {
+                QuerySpec::Modification { target, .. } => Some(*target),
+                _ => None,
+            },
+            "steps" => Value::Array(plan.steps.iter().map(|s| object! {
+                "var" => vars.name(s.var),
+                "from" => s.from,
+                "to" => s.to,
+                "resulting_probability" => s.resulting_probability,
+            }).collect()),
+            "total_cost" => plan.total_cost,
+            "initial_probability" => plan.initial_probability,
+            "achieved_probability" => plan.achieved_probability,
+            "reached_target" => plan.reached_target,
+        },
+        // The explain type owns the canonical JSON shape (shared with
+        // `p3 explain --json`); parse it back rather than re-encoding.
+        RunAnswer::Explain(explained) => Value::parse(&explained.to_json_string())
+            .map_err(|e| format!("explain payload encoding: {e}"))?,
+    })
+}
+
+/// The `profile` op's reply: the run's stage-by-stage breakdown.
+fn profile_reply(run: &QueryRun) -> Value {
+    let pair = |hits: u64, misses: u64| object! { "hits" => hits, "misses" => misses };
+    let stages = run.stages.iter().map(|s| {
+        object! {
+            "name" => s.name,
+            "wall_us" => s.wall_us,
+            "session" => pair(s.session_hits, s.session_misses),
+            "store_intern" => pair(s.store_intern_hits, s.store_intern_misses),
+            "store_ops" => pair(s.store_op_hits, s.store_op_misses),
+            "extract_memo" => pair(s.extract_memo_hits, s.extract_memo_misses),
+        }
+    });
+    object! {
+        "query" => run.query.clone(),
+        "class" => run.class,
+        "eval_mode" => run.mode.as_str(),
+        "total_us" => run.total_us,
+        "probability" => run.probability(),
+        "stages" => Value::Array(stages.collect()),
+    }
 }
 
 /// The `stats` payload: server counters plus the shared cache counters.
@@ -1628,57 +1402,39 @@ fn stats_snapshot(shared: &Shared) -> Value {
     let session = shared.current_session();
     let s = session.stats();
     let store = session.p3().store().stats();
-    Value::object(vec![
-        (
-            "uptime_ms",
-            Value::from(shared.started.elapsed().as_millis() as u64),
-        ),
-        ("workers", Value::from(shared.workers)),
-        (
-            "eval_mode",
-            Value::from(session.eval_mode().as_str().to_string()),
-        ),
-        ("queue_depth", Value::from(shared.queue.depth())),
-        ("queue_capacity", Value::from(shared.queue_cap)),
-        ("total_requests", Value::from(shared.stats.total())),
-        ("requests", shared.stats.snapshot()),
-        (
-            "session",
-            Value::object(vec![
-                ("hits", Value::from(s.hits)),
-                ("misses", Value::from(s.misses)),
-                ("evictions", Value::from(s.evictions)),
-                ("resident", Value::from(s.resident)),
-                ("warm_restored", Value::from(s.warm_restored)),
-            ]),
-        ),
-        (
-            "persist",
-            match &shared.store {
-                None => Value::object(vec![("enabled", Value::from(false))]),
-                Some(store) => Value::object(vec![
-                    ("enabled", Value::from(true)),
-                    ("active", Value::from(store.active.load(Ordering::SeqCst))),
-                    (
-                        "records_written",
-                        Value::from(store.backend.stats().records_written),
-                    ),
-                    ("warm_restored", Value::from(store.restore.memos())),
-                ]),
+    object! {
+        "uptime_ms" => shared.started.elapsed().as_millis() as u64,
+        "workers" => shared.workers,
+        "eval_mode" => session.eval_mode().as_str(),
+        "queue_depth" => shared.queue.depth(),
+        "queue_capacity" => shared.queue_cap,
+        "total_requests" => shared.stats.total(),
+        "requests" => shared.stats.snapshot(),
+        "session" => object! {
+            "hits" => s.hits,
+            "misses" => s.misses,
+            "evictions" => s.evictions,
+            "resident" => s.resident,
+            "warm_restored" => s.warm_restored,
+        },
+        "persist" => match &shared.store {
+            None => object! { "enabled" => false },
+            Some(store) => object! {
+                "enabled" => true,
+                "active" => store.active.load(Ordering::SeqCst),
+                "records_written" => store.backend.stats().records_written,
+                "warm_restored" => store.restore.memos(),
             },
-        ),
-        (
-            "store",
-            Value::object(vec![
-                ("formulas", Value::from(store.formulas)),
-                ("intern_hits", Value::from(store.intern_hits)),
-                ("intern_misses", Value::from(store.intern_misses)),
-                ("op_hits", Value::from(store.op_hits)),
-                ("op_misses", Value::from(store.op_misses)),
-            ]),
-        ),
-        ("engine", engine_stats_value(&session)),
-    ])
+        },
+        "store" => object! {
+            "formulas" => store.formulas,
+            "intern_hits" => store.intern_hits,
+            "intern_misses" => store.intern_misses,
+            "op_hits" => store.op_hits,
+            "op_misses" => store.op_misses,
+        },
+        "engine" => engine_stats_value(&session),
+    }
 }
 
 /// The `stats` payload's `engine` section: run-level [`EngineStats`] and
@@ -1706,33 +1462,19 @@ fn engine_stats_value(session: &QuerySession) -> Value {
             strata[i].2 += st.derived_tuples as u64;
         }
     }
-    Value::object(vec![
-        ("evaluations", Value::from(plans.len())),
-        (
-            "rule_cost_total",
-            Value::from(session.p3().rule_cost_total()),
-        ),
-        ("iterations", Value::from(iterations)),
-        ("firings", Value::from(firings)),
-        ("derived_tuples", Value::from(tuples)),
-        (
-            "strata",
-            Value::Array(
-                strata
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (it, fi, tu))| {
-                        Value::object(vec![
-                            ("stratum", Value::from(i)),
-                            ("iterations", Value::from(*it)),
-                            ("firings", Value::from(*fi)),
-                            ("derived_tuples", Value::from(*tu)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let strata = strata.iter().enumerate().map(|(i, &(it, fi, tu))| {
+        object! {
+            "stratum" => i, "iterations" => it, "firings" => fi, "derived_tuples" => tu,
+        }
+    });
+    object! {
+        "evaluations" => plans.len(),
+        "rule_cost_total" => session.p3().rule_cost_total(),
+        "iterations" => iterations,
+        "firings" => firings,
+        "derived_tuples" => tuples,
+        "strata" => Value::Array(strata.collect()),
+    }
 }
 
 /// The `GET /analyze` payload: the static cost prediction for the
@@ -1743,12 +1485,8 @@ fn engine_stats_value(session: &QuerySession) -> Value {
 pub(crate) fn analyze_snapshot(shared: &Shared) -> Value {
     let session = shared.current_session();
     let plan = session.analyze(None);
-    Value::parse(&plan.to_json_string()).unwrap_or_else(|e| {
-        Value::object(vec![(
-            "error",
-            Value::from(format!("analyze payload encoding: {e}")),
-        )])
-    })
+    Value::parse(&plan.to_json_string())
+        .unwrap_or_else(|e| object! { "error" => format!("analyze payload encoding: {e}") })
 }
 
 /// The `GET /explain` payload: the current session's accumulated cost
@@ -1761,69 +1499,41 @@ pub(crate) fn explain_snapshot(shared: &Shared) -> Value {
     let session = shared.current_session();
     let p3 = session.p3();
     let plans = p3.explain_plans();
-    Value::object(vec![
-        (
-            "eval_mode",
-            Value::from(session.eval_mode().as_str().to_string()),
-        ),
-        ("evaluations", Value::from(plans.len())),
-        ("rule_cost_total", Value::from(p3.rule_cost_total())),
-        (
-            "top_rules",
-            Value::Array(
-                p3.top_rules(p3_datalog::explain::METRIC_TOP_RULES)
-                    .into_iter()
-                    .map(|(rule, cost)| {
-                        Value::object(vec![
-                            ("rule", Value::from(rule)),
-                            ("cost", Value::from(cost)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "plans",
-            Value::Array(plans.iter().map(explain_plan_value).collect()),
-        ),
-    ])
+    let top_rules = p3.top_rules(p3_datalog::explain::METRIC_TOP_RULES);
+    object! {
+        "eval_mode" => session.eval_mode().as_str(),
+        "evaluations" => plans.len(),
+        "rule_cost_total" => p3.rule_cost_total(),
+        "top_rules" => Value::Array(top_rules.into_iter().map(|(rule, cost)| object! {
+            "rule" => rule, "cost" => cost,
+        }).collect()),
+        "plans" => Value::Array(plans.iter().map(explain_plan_value).collect()),
+    }
 }
 
 /// One retained [`ExplainPlan`](p3_datalog::explain::ExplainPlan) as JSON
 /// (the per-evaluation entries of `GET /explain`).
 fn explain_plan_value(plan: &p3_datalog::explain::ExplainPlan) -> Value {
-    Value::object(vec![
-        ("mode", Value::from(plan.mode.to_string())),
-        ("total_cost", Value::from(plan.total_cost())),
-        ("iterations", Value::from(plan.stats.iterations)),
-        ("firings", Value::from(plan.stats.firings)),
-        ("tuples", Value::from(plan.stats.tuples)),
-        (
-            "rules",
-            Value::Array(
-                plan.rules
-                    .iter()
-                    .map(|r| {
-                        Value::object(vec![
-                            ("rule", Value::from(r.label.clone())),
-                            ("head", Value::from(r.head.clone())),
-                            ("recursive", Value::from(r.recursive)),
-                            ("cost", Value::from(r.cost())),
-                            ("firings", Value::from(r.firings)),
-                            ("new_tuples", Value::from(r.new_tuples)),
-                            ("candidates", Value::from(r.candidates)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "magic_cost",
-            plan.magic
-                .map(|m| Value::from(m.cost()))
-                .unwrap_or(Value::Null),
-        ),
-    ])
+    let rules = plan.rules.iter().map(|r| {
+        object! {
+            "rule" => r.label.clone(),
+            "head" => r.head.clone(),
+            "recursive" => r.recursive,
+            "cost" => r.cost(),
+            "firings" => r.firings,
+            "new_tuples" => r.new_tuples,
+            "candidates" => r.candidates,
+        }
+    });
+    object! {
+        "mode" => plan.mode,
+        "total_cost" => plan.total_cost(),
+        "iterations" => plan.stats.iterations,
+        "firings" => plan.stats.firings,
+        "tuples" => plan.stats.tuples,
+        "rules" => Value::Array(rules.collect()),
+        "magic_cost" => plan.magic.map(|m| m.cost()),
+    }
 }
 
 /// The `warm` payload: what the persistent store's recovery and warm-boot
@@ -1831,91 +1541,69 @@ fn explain_plan_value(plan: &p3_datalog::explain::ExplainPlan) -> Value {
 /// `store-stats`).
 fn warm_snapshot(shared: &Shared) -> Value {
     let Some(store) = &shared.store else {
-        return Value::object(vec![("enabled", Value::from(false))]);
+        return object! { "enabled" => false };
     };
-    Value::object(vec![
-        ("enabled", Value::from(true)),
-        ("active", Value::from(store.active.load(Ordering::SeqCst))),
-        ("dir", Value::from(store.dir.display().to_string())),
-        ("stale", Value::from(store.report.stale)),
-        (
-            "recovery_truncations",
-            Value::from(u64::from(store.report.truncations)),
-        ),
-        (
-            "recovery_truncated_bytes",
-            Value::from(store.report.truncated_bytes),
-        ),
-        (
-            "snapshot_records",
-            Value::from(store.report.snapshot_records),
-        ),
-        ("log_records", Value::from(store.report.log_records)),
-        ("restored_formulas", Value::from(store.restore.formulas)),
-        ("restored_dnf_memos", Value::from(store.restore.dnf_memos)),
-        ("restored_prob_memos", Value::from(store.restore.prob_memos)),
-        ("restored_skipped", Value::from(store.restore.skipped)),
-    ])
+    object! {
+        "enabled" => true,
+        "active" => store.active.load(Ordering::SeqCst),
+        "dir" => store.dir.display().to_string(),
+        "stale" => store.report.stale,
+        "recovery_truncations" => u64::from(store.report.truncations),
+        "recovery_truncated_bytes" => store.report.truncated_bytes,
+        "snapshot_records" => store.report.snapshot_records,
+        "log_records" => store.report.log_records,
+        "restored_formulas" => store.restore.formulas,
+        "restored_dnf_memos" => store.restore.dnf_memos,
+        "restored_prob_memos" => store.restore.prob_memos,
+        "restored_skipped" => store.restore.skipped,
+    }
 }
 
 /// The `store-stats` payload: live backend counters.
 fn store_stats_snapshot(shared: &Shared) -> Value {
     let Some(store) = &shared.store else {
-        return Value::object(vec![("enabled", Value::from(false))]);
+        return object! { "enabled" => false };
     };
     let stats = store.backend.stats();
-    Value::object(vec![
-        ("enabled", Value::from(true)),
-        ("active", Value::from(store.active.load(Ordering::SeqCst))),
-        ("kind", Value::from(stats.kind.to_string())),
-        ("records_written", Value::from(stats.records_written)),
-        ("pending_records", Value::from(stats.pending_records)),
-        ("snapshot_records", Value::from(stats.snapshot_records)),
-        ("snapshot_bytes", Value::from(stats.snapshot_bytes)),
-        (
-            "recovery_truncations",
-            Value::from(stats.recovery_truncations),
-        ),
-    ])
+    object! {
+        "enabled" => true,
+        "active" => store.active.load(Ordering::SeqCst),
+        "kind" => stats.kind,
+        "records_written" => stats.records_written,
+        "pending_records" => stats.pending_records,
+        "snapshot_records" => stats.snapshot_records,
+        "snapshot_bytes" => stats.snapshot_bytes,
+        "recovery_truncations" => stats.recovery_truncations,
+    }
 }
 
-/// One audit record as a JSON value — the audit crate owns the canonical
+/// Audit records as a JSON array — the audit crate owns the canonical
 /// JSON shape; the service parses it back rather than re-encoding.
-fn audit_record_value(record: &AuditRecord) -> Value {
-    Value::parse(&record.to_json_string()).unwrap_or(Value::Null)
-}
-
-/// The audit log's live counters as a JSON object.
-fn audit_stats_value(stats: &p3_audit::AuditStats) -> Value {
-    Value::object(vec![
-        ("records_appended", Value::from(stats.records_appended)),
-        ("records_recovered", Value::from(stats.records_recovered)),
-        ("segments", Value::from(stats.segments)),
-        ("total_bytes", Value::from(stats.total_bytes)),
-        ("rotations", Value::from(stats.rotations)),
-        ("pruned", Value::from(stats.pruned)),
-        (
-            "recovery_truncations",
-            Value::from(stats.recovery_truncations),
-        ),
-    ])
+fn audit_records_value(records: &[AuditRecord]) -> Value {
+    let parse = |r: &AuditRecord| Value::parse(&r.to_json_string()).unwrap_or(Value::Null);
+    Value::Array(records.iter().map(parse).collect())
 }
 
 /// The `audit-tail` payload (and `GET /audit`): the `n` most recent
 /// audit records, newest first, plus the log's counters.
 pub(crate) fn audit_tail_snapshot(shared: &Shared, n: usize) -> Value {
     let Some(audit) = &shared.audit else {
-        return Value::object(vec![("enabled", Value::from(false))]);
+        return object! { "enabled" => false };
     };
-    let records = audit.recent(n);
-    Value::object(vec![
-        ("enabled", Value::from(true)),
-        (
-            "records",
-            Value::Array(records.iter().map(audit_record_value).collect()),
-        ),
-        ("stats", audit_stats_value(&audit.stats())),
-    ])
+    let stats = audit.stats();
+    object! {
+        "enabled" => true,
+        "records" => audit_records_value(&audit.recent(n)),
+        "stats" => object! {
+            "records_appended" => stats.records_appended,
+            "records_recovered" => stats.records_recovered,
+            "segments" => stats.segments,
+            "total_bytes" => stats.total_bytes,
+            "rotations" => stats.rotations,
+            "pruned" => stats.pruned,
+            "recovery_truncations" => stats.recovery_truncations,
+        },
+    }
 }
 
 /// The `audit-top` payload (and `GET /audit/top`): worst offenders from
@@ -1923,7 +1611,7 @@ pub(crate) fn audit_tail_snapshot(shared: &Shared, n: usize) -> Value {
 /// the exemplar link into `/traces`.
 pub(crate) fn audit_top_snapshot(shared: &Shared, by: AuditKey, n: usize) -> Value {
     let Some(audit) = &shared.audit else {
-        return Value::object(vec![("enabled", Value::from(false))]);
+        return object! { "enabled" => false };
     };
     let key: fn(&AuditRecord) -> u64 = match by {
         AuditKey::Latency => |r| r.total_us,
@@ -1931,25 +1619,11 @@ pub(crate) fn audit_top_snapshot(shared: &Shared, by: AuditKey, n: usize) -> Val
         AuditKey::DnfWidth => |r| r.dnf_literals,
         AuditKey::RuleCost => |r| r.rule_cost,
     };
-    let records = audit.top(n, key);
-    Value::object(vec![
-        ("enabled", Value::from(true)),
-        ("by", Value::from(by.as_str().to_string())),
-        (
-            "records",
-            Value::Array(records.iter().map(audit_record_value).collect()),
-        ),
-    ])
-}
-
-/// One window's burn accounting as a JSON object.
-fn window_burn_value(w: &p3_obs::slo::WindowBurn) -> Value {
-    Value::object(vec![
-        ("events", Value::from(w.events)),
-        ("bad", Value::from(w.bad)),
-        ("burn_rate", Value::from(w.burn_rate)),
-        ("tripped", Value::from(w.tripped)),
-    ])
+    object! {
+        "enabled" => true,
+        "by" => by.as_str(),
+        "records" => audit_records_value(&audit.top(n, key)),
+    }
 }
 
 /// The `slo` payload (and `GET /slo`): every objective's burn state over
@@ -1958,32 +1632,27 @@ fn window_burn_value(w: &p3_obs::slo::WindowBurn) -> Value {
 pub(crate) fn slo_snapshot(shared: &Shared) -> Value {
     let now_ms = unix_ms();
     let statuses = shared.slo.status(now_ms);
-    Value::object(vec![
-        ("now_ms", Value::from(now_ms)),
-        (
-            "any_fast_trip",
-            Value::from(statuses.iter().any(|s| s.fast.tripped)),
-        ),
-        ("readyz_gated", Value::from(shared.slo_readyz)),
-        (
-            "objectives",
-            Value::Array(
-                statuses
-                    .iter()
-                    .map(|s| {
-                        Value::object(vec![
-                            ("class", Value::from(s.config.class.clone())),
-                            ("target_ms", Value::from(s.config.target_ms)),
-                            ("objective", Value::from(s.config.objective)),
-                            ("fast", window_burn_value(&s.fast)),
-                            ("slow", window_burn_value(&s.slow)),
-                            ("budget_remaining", Value::from(s.budget_remaining)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let window = |w: &p3_obs::slo::WindowBurn| {
+        object! {
+            "events" => w.events, "bad" => w.bad, "burn_rate" => w.burn_rate, "tripped" => w.tripped,
+        }
+    };
+    let objectives = statuses.iter().map(|s| {
+        object! {
+            "class" => s.config.class.clone(),
+            "target_ms" => s.config.target_ms,
+            "objective" => s.config.objective,
+            "fast" => window(&s.fast),
+            "slow" => window(&s.slow),
+            "budget_remaining" => s.budget_remaining,
+        }
+    });
+    object! {
+        "now_ms" => now_ms,
+        "any_fast_trip" => statuses.iter().any(|s| s.fast.tripped),
+        "readyz_gated" => shared.slo_readyz,
+        "objectives" => Value::Array(objectives.collect()),
+    }
 }
 
 /// Refreshes scrape-time gauges from live server state. Called on every
@@ -2055,36 +1724,26 @@ pub(crate) fn refresh_gauges(shared: &Shared) {
 /// (version 0.0.4).
 fn metrics_snapshot(shared: &Shared) -> Value {
     refresh_gauges(shared);
-    Value::object(vec![
-        (
-            "content_type",
-            Value::from("text/plain; version=0.0.4".to_string()),
-        ),
-        ("text", Value::from(p3_obs::metrics::prometheus_text())),
-    ])
+    object! {
+        "content_type" => "text/plain; version=0.0.4",
+        "text" => p3_obs::metrics::prometheus_text(),
+    }
 }
 
 fn span_tree_value(tree: &p3_obs::span::SpanTree) -> Value {
     let r = &tree.record;
-    Value::object(vec![
-        ("name", Value::from(r.name.to_string())),
-        ("span_id", Value::from(r.id)),
-        ("start_us", Value::from(r.start_us)),
-        ("dur_us", Value::from(r.dur_us)),
-        (
-            "fields",
-            Value::Object(
-                r.fields
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), Value::from(v.clone())))
-                    .collect(),
-            ),
-        ),
-        (
-            "children",
-            Value::Array(tree.children.iter().map(span_tree_value).collect()),
-        ),
-    ])
+    let fields = r
+        .fields
+        .iter()
+        .map(|(k, v)| (k.to_string(), Value::from(v.clone())));
+    object! {
+        "name" => r.name,
+        "span_id" => r.id,
+        "start_us" => r.start_us,
+        "dur_us" => r.dur_us,
+        "fields" => Value::Object(fields.collect()),
+        "children" => Value::Array(tree.children.iter().map(span_tree_value).collect()),
+    }
 }
 
 /// The `trace` payload: the `n` most recent completed request span trees
@@ -2092,13 +1751,10 @@ fn span_tree_value(tree: &p3_obs::span::SpanTree) -> Value {
 /// turns it on at startup).
 fn trace_snapshot(n: usize) -> Value {
     let trees = p3_obs::span::recent_roots(Some("request"), n);
-    Value::object(vec![
-        ("enabled", Value::from(p3_obs::span::enabled())),
-        (
-            "trees",
-            Value::Array(trees.iter().map(span_tree_value).collect()),
-        ),
-    ])
+    object! {
+        "enabled" => p3_obs::span::enabled(),
+        "trees" => Value::Array(trees.iter().map(span_tree_value).collect()),
+    }
 }
 
 /// A standalone [`Shared`] for exercising readiness and HTTP routing in
@@ -2554,7 +2210,7 @@ mod tests {
             .iter()
             .map(|s| s.get("name").unwrap().as_str().unwrap())
             .collect();
-        assert_eq!(names, ["extract", "probability"]);
+        assert_eq!(names, ["parse", "transform", "extract", "probability"]);
 
         // audit-top ranks by the requested key.
         let resp = client
@@ -2686,6 +2342,227 @@ mod tests {
         server.shutdown();
         server.join();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sends one request line and returns the reply's result, asserting
+    /// the request succeeded.
+    fn ok_result(client: &mut Client, line: &str) -> Value {
+        let resp = client.request(line).unwrap();
+        assert_eq!(resp.status, crate::protocol::Status::Ok, "{line}: {resp:?}");
+        resp.result.unwrap()
+    }
+
+    #[test]
+    fn hostile_lines_get_errors_and_the_server_survives() {
+        let path = std::env::temp_dir().join(format!("p3-hostile-{}.sock", std::process::id()));
+        let server = Server::start(
+            P3::from_source(ACQ).unwrap(),
+            ServerConfig {
+                unix: Some(path.clone()),
+                workers: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // A million open brackets: a structured error, not a stack
+        // overflow, and the connection keeps serving.
+        let mut client = Client::connect_unix(&path).unwrap();
+        let resp = client.request(&"[".repeat(1_000_000)).unwrap();
+        assert_eq!(resp.status, crate::protocol::Status::Error);
+        assert!(resp.error.unwrap().contains("nesting deeper"));
+        ok_result(&mut client, r#"{"op":"ping"}"#);
+        // A line over the cap is answered with an error, then the
+        // connection is closed.
+        let mut raw = std::os::unix::net::UnixStream::connect(&path).unwrap();
+        raw.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        let mut reader = BufReader::new(raw);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let reply = Response::parse(&reply).unwrap();
+        assert_eq!(reply.status, crate::protocol::Status::Error);
+        assert!(reply.error.unwrap().contains("exceeds"));
+        assert_eq!(reader.read_line(&mut String::new()).unwrap(), 0, "closed");
+        // A new connection is still answered.
+        let mut fresh = Client::connect_unix(&path).unwrap();
+        ok_result(&mut fresh, r#"{"op":"ping"}"#);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn served_explanation_stays_on_demand_and_matches_the_full_model() {
+        let p3 = P3::from_source(ACQ).unwrap();
+        let server = Server::start(
+            p3.clone(),
+            ServerConfig {
+                tcp: Some("127.0.0.1:0".to_string()),
+                workers: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+        let oracle = P3::from_source(ACQ).unwrap();
+        for hop_limit in [None, Some(2)] {
+            let hop = hop_limit.map_or(String::new(), |h| format!(r#","hop_limit":{h}"#));
+            let result = ok_result(
+                &mut client,
+                &format!(
+                    r#"{{"op":"explanation","query":"{}"{hop}}}"#,
+                    Q.replace('"', "\\\"")
+                ),
+            );
+            // ACQ resolves to demand: the explanation renders from the
+            // query's demand core, never the whole model.
+            assert!(!p3.fully_evaluated(), "served explanation forced the model");
+            let opts =
+                hop_limit.map_or(ExtractOptions::unbounded(), ExtractOptions::with_max_depth);
+            let expected = oracle
+                .explain_with(Q, p3_core::ProbMethod::Exact, opts)
+                .unwrap();
+            let p = result.get("probability").unwrap().as_f64().unwrap();
+            assert_eq!(p.to_bits(), expected.probability.to_bits());
+            assert_eq!(
+                result.get("num_derivations").unwrap().as_u64(),
+                Some(expected.num_derivations as u64)
+            );
+            assert_eq!(
+                result.get("polynomial").unwrap().as_str().unwrap(),
+                oracle.render_polynomial(&expected.polynomial)
+            );
+            assert_eq!(result.get("text").unwrap().as_str().unwrap(), expected.text);
+        }
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn profile_reply_and_audit_row_carry_the_same_stages() {
+        let dir = std::env::temp_dir().join(format!("p3-profile-audit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let server = Server::start(
+            P3::from_source(ACQ).unwrap(),
+            ServerConfig {
+                tcp: Some("127.0.0.1:0".to_string()),
+                workers: 1,
+                audit: Some(p3_audit::AuditConfig::new(&dir)),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+        let profile = ok_result(
+            &mut client,
+            &format!(
+                r#"{{"op":"profile","class":"influence","query":"{}","method":"exact"}}"#,
+                Q.replace('"', "\\\"")
+            ),
+        );
+        let tail = ok_result(&mut client, r#"{"op":"audit-tail","n":10}"#);
+        let row = tail
+            .get("records")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .find(|r| r.get("class").unwrap().as_str() == Some("profile"))
+            .expect("profile row on the tail")
+            .clone();
+        let stages = |v: &Value| -> Vec<(String, u64)> {
+            v.get("stages")
+                .and_then(Value::as_array)
+                .unwrap()
+                .iter()
+                .map(|s| {
+                    (
+                        s.get("name").unwrap().as_str().unwrap().to_string(),
+                        s.get("wall_us").unwrap().as_u64().unwrap(),
+                    )
+                })
+                .collect()
+        };
+        let reply_stages = stages(&profile);
+        let names: Vec<&str> = reply_stages.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["parse", "transform", "extract", "influence"]);
+        assert_eq!(reply_stages, stages(&row));
+        // The cold run forced the demand core; the row carries its cost.
+        assert!(
+            row.get("rule_cost").unwrap().as_u64().unwrap() > 0,
+            "{row:?}"
+        );
+        assert_eq!(row.get("eval_mode").unwrap().as_str(), Some("demand"));
+        server.shutdown();
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn served_modification_and_explain_honour_the_hop_limit() {
+        let src = p3_workloads::trust::case_study_source();
+        let query = p3_workloads::trust::CASE_STUDY_QUERY;
+        let server = Server::start(
+            P3::from_source(&src).unwrap(),
+            ServerConfig {
+                tcp: Some("127.0.0.1:0".to_string()),
+                workers: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+        let oracle = P3::from_source(&src).unwrap().session();
+        let unbounded = oracle.dnf(oracle.provenance_id(query).unwrap());
+        for hop_limit in 1..=3 {
+            let opts = ExtractOptions::with_max_depth(hop_limit);
+            let id = oracle.provenance_id_with(query, opts).unwrap();
+            let dnf = oracle.dnf(id);
+            if hop_limit == 1 {
+                assert_ne!(*dnf, *unbounded, "one hop must cut derivations");
+            }
+            let explained = ok_result(
+                &mut client,
+                &format!(r#"{{"op":"explain","query":"{query}","hop_limit":{hop_limit}}}"#),
+            );
+            let shape = explained.get("dnf").unwrap();
+            assert_eq!(
+                shape.get("monomials").unwrap().as_u64(),
+                Some(dnf.len() as u64),
+                "hop {hop_limit}"
+            );
+            assert_eq!(
+                shape.get("literals").unwrap().as_u64(),
+                Some(dnf.shape().literals as u64)
+            );
+            let modified = ok_result(
+                &mut client,
+                &format!(
+                    r#"{{"op":"modification","query":"{query}","target":0.7,"hop_limit":{hop_limit}}}"#
+                ),
+            );
+            let plan = oracle.modification_of(id, 0.7, &ModificationOptions::default());
+            let initial = modified
+                .get("initial_probability")
+                .unwrap()
+                .as_f64()
+                .unwrap();
+            assert_eq!(initial.to_bits(), plan.initial_probability.to_bits());
+            let achieved = modified
+                .get("achieved_probability")
+                .unwrap()
+                .as_f64()
+                .unwrap();
+            assert_eq!(achieved.to_bits(), plan.achieved_probability.to_bits());
+            assert_eq!(
+                modified
+                    .get("steps")
+                    .and_then(Value::as_array)
+                    .unwrap()
+                    .len(),
+                plan.steps.len()
+            );
+        }
+        server.shutdown();
+        server.join();
     }
 
     #[test]

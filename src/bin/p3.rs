@@ -11,9 +11,8 @@
 //! ```
 
 use p3::core::{
-    influence_query, modification_query, sufficient_provenance, DerivationAlgo, EvalMode,
-    InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod, SessionOptions, Strategy,
-    P3,
+    DerivationAlgo, EvalMode, InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod,
+    QuerySpec, RunAnswer, SessionOptions, Strategy, P3,
 };
 use p3::prob::McConfig;
 use p3::provenance::extract::ExtractOptions;
@@ -152,13 +151,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = value(&mut it, "--derivation")?;
                 opts.derivation = Some(v.parse().map_err(|_| format!("bad epsilon '{v}'"))?);
             }
-            "--algo" => {
-                opts.algo = match value(&mut it, "--algo")?.as_str() {
-                    "greedy" => DerivationAlgo::NaiveGreedy,
-                    "resuciu" => DerivationAlgo::ReSuciu,
-                    other => return Err(format!("unknown algorithm '{other}'")),
-                }
-            }
+            "--algo" => opts.algo = value(&mut it, "--algo")?.parse()?,
             "--influence" => {
                 // Optional numeric argument.
                 let k = match it.peek() {
@@ -225,14 +218,7 @@ fn prob_method(opts: &Options) -> Result<ProbMethod, String> {
         samples: opts.samples,
         seed: opts.seed,
     };
-    match opts.prob.as_deref().unwrap_or("exact") {
-        "exact" => Ok(ProbMethod::Exact),
-        "bdd" => Ok(ProbMethod::Bdd),
-        "mc" => Ok(ProbMethod::MonteCarlo(cfg)),
-        "kl" => Ok(ProbMethod::KarpLuby(cfg)),
-        "pmc" => Ok(ProbMethod::ParallelMc(cfg, opts.threads)),
-        other => Err(format!("unknown probability method '{other}'")),
-    }
+    ProbMethod::parse(opts.prob.as_deref().unwrap_or("exact"), cfg, opts.threads)
 }
 
 fn run(opts: &Options) -> Result<(), String> {
@@ -267,7 +253,8 @@ fn run(opts: &Options) -> Result<(), String> {
     };
 
     // The session resolves --eval-mode against the program and, in demand
-    // mode, magic-transforms per query instead of forcing the whole model.
+    // mode, magic-transforms per query instead of forcing the whole model;
+    // every query class below runs on its one interned polynomial.
     let session = system.session_with(SessionOptions {
         eval_mode: opts.eval_mode,
         ..Default::default()
@@ -275,28 +262,31 @@ fn run(opts: &Options) -> Result<(), String> {
     let id = session
         .provenance_id_with(query, extract)
         .map_err(|e| e.to_string())?;
-    let dnf = (*session.dnf(id)).clone();
-    let p = method.probability(&dnf, system.vars());
+    let dnf = session.dnf(id);
+    let p = session.probability_of(id, method);
     println!("P[{query}] = {p:.6}   ({} derivations)", dnf.len());
 
-    if opts.explain {
-        let explanation = system
-            .explain_with(query, method, extract)
+    if opts.explain || opts.dot.is_some() {
+        // Rendered from whichever evaluation answered the query — the
+        // demand core in demand mode, never a forced whole model.
+        let run = session
+            .run(query, &QuerySpec::Explanation(method), extract)
             .map_err(|e| e.to_string())?;
-        println!("\nderivations:\n{}", explanation.text);
-        println!("polynomial: {}", system.render_polynomial(&dnf));
-    }
-
-    if let Some(path) = &opts.dot {
-        let tuple = system.tuple(query).map_err(|e| e.to_string())?;
-        let dot =
-            p3::provenance::dot::to_dot(system.graph(), system.database(), system.program(), tuple);
-        std::fs::write(path, dot).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("provenance graph written to {path}");
+        let RunAnswer::Explanation { text, dot, .. } = run.answer else {
+            unreachable!("an explanation run renders its derivations")
+        };
+        if opts.explain {
+            println!("\nderivations:\n{text}");
+            println!("polynomial: {}", system.render_polynomial(&dnf));
+        }
+        if let Some(path) = &opts.dot {
+            std::fs::write(path, dot).map_err(|e| format!("cannot write {path}: {e}"))?;
+            println!("provenance graph written to {path}");
+        }
     }
 
     if let Some(eps) = opts.derivation {
-        let suff = sufficient_provenance(&dnf, system.vars(), eps, opts.algo, method);
+        let suff = session.sufficient_provenance_of(id, eps, opts.algo, method);
         println!(
             "\nsufficient provenance (eps = {eps}): kept {}/{} derivations, P = {:.6} \
              (error {:.6})",
@@ -322,9 +312,8 @@ fn run(opts: &Options) -> Result<(), String> {
             samples: opts.samples,
             seed: opts.seed,
         };
-        let ranked = influence_query(
-            &dnf,
-            system.vars(),
+        let ranked = session.influence_of(
+            id,
             &InfluenceOptions {
                 method: InfluenceMethod::Mc(cfg),
                 top_k: Some(k),
@@ -348,9 +337,8 @@ fn run(opts: &Options) -> Result<(), String> {
     }
 
     if let Some(target) = opts.modify {
-        let plan = modification_query(
-            &dnf,
-            system.vars(),
+        let plan = session.modification_of(
+            id,
             target,
             &ModificationOptions {
                 modifiable: opts.facts_only.then(facts_filter),
